@@ -1,16 +1,14 @@
 //! Criterion bench: the Rule 1–4 pruning cascade (§III-C) on the paper's
 //! running example (1.09e8 candidates in, ~1e3 out), plus the lazy
 //! [`CandidateSpace`] paths that replaced the eager materialization —
-//! the Rule-4 survivor-index build (filter on), the `-rule4` ablation
-//! (filter off: O(1), nothing scanned), and indexed candidate decoding.
+//! the Rule-4 staircase build (filter on), the `-rule4` ablation
+//! (filter off: every row full, no Eq. 1 estimates), and indexed
+//! candidate decoding and encoding.
 //!
 //! [`CandidateSpace`]: mcfuser_core::CandidateSpace
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mcfuser_core::{
-    build_candidate_space, build_candidate_space_scanned, prune, Rule4Scan, SearchSpace,
-    SpacePolicy,
-};
+use mcfuser_core::{build_candidate_space, prune, SearchSpace, SpacePolicy};
 use mcfuser_ir::{ChainSpec, Epilogue};
 use mcfuser_sim::DeviceSpec;
 use std::hint::black_box;
@@ -30,7 +28,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| prune(black_box(&attn), &dev, &attn_space))
     });
     // The -rule4 ablation path: the same lazy space with the filter
-    // disabled — no scan, no materialization, O(1) regardless of size.
+    // disabled — a full staircase, no Eq. 1 estimates, no materialization.
     let no_rule4 = SpacePolicy {
         shared_memory_pruning: false,
         ..Default::default()
@@ -38,11 +36,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lazy_rule4_disabled", |b| {
         b.iter(|| build_candidate_space(black_box(&big), &dev, &no_rule4))
     });
-    // Dense vs frontier Rule-4 scan on a grid past FRONTIER_MIN_GRID
-    // (the non-power-of-two 3-GEMM chain keeps 14–22 Rule-3 options per
-    // axis — ~2.9M combinations): the frontier binary-searches one row
-    // prefix per fixed setting of the slow axes instead of estimating
-    // every combination.
+    // The Rule-4 staircase build on a large grid (the non-power-of-two
+    // 3-GEMM chain: 2.4M Rule-3 combinations, 23 options on axis 0):
+    // one binary search of axis 0 per grid row.
     let wide = ChainSpec::chain(
         "mlp3-1536",
         1,
@@ -51,11 +47,24 @@ fn bench(c: &mut Criterion) {
         vec![Epilogue::None; 3],
     );
     let full = SpacePolicy::default();
-    g.bench_function("rule4_scan_dense_2_9e6_grid", |b| {
-        b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Dense))
+    g.bench_function("rule4_staircase_2_4e6_grid", |b| {
+        b.iter(|| build_candidate_space(black_box(&wide), &dev, &full))
     });
-    g.bench_function("rule4_scan_frontier_2_9e6_grid", |b| {
-        b.iter(|| build_candidate_space_scanned(black_box(&wide), &dev, &full, Rule4Scan::Frontier))
+    // Decode + encode on the same grid: `candidate` binary-searches the
+    // staircase's ~10⁵ rows, `index_of` maps back in O(1).
+    let wide_space = build_candidate_space(&wide, &dev, &full);
+    let wide_stride = (wide_space.len() / 251).max(1);
+    g.bench_function("staircase_decode_encode_2_4e6_grid", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            let mut i = 0u64;
+            while i < wide_space.len() {
+                let c = wide_space.candidate(black_box(i));
+                acc ^= wide_space.index_of(&c).expect("survivor round-trips");
+                i += wide_stride;
+            }
+            acc
+        })
     });
     // Indexed decoding: the hot operation of sampling-based search.
     let pruned = prune(&big, &dev, &big_space);

@@ -2,7 +2,8 @@
 //! (GEMM chain, M = N = 1024, K = H = 512) with Rules 1–4.
 //!
 //! The paper reports 1.09×10⁸ → −80 % → −40 % → −99 % → −40 % → ≈10⁴.
-//! Our Rule-1 equivalence is slightly stronger (see DESIGN.md), so the
+//! Our Rule-1 equivalence is slightly stronger — it also merges flat and
+//! deep expressions that lower to the same per-block program — so the
 //! expression counts differ by a small constant while the waterfall shape
 //! is preserved.
 

@@ -2,7 +2,7 @@
 //! BERT (4 attention + 4 FFN) three ways and time them —
 //!
 //! * **cold**: schedule cache off, space cache off — every chain pays
-//!   its own Rule-4 scan plus a full search (the pre-space-cache
+//!   its own Rule-4 staircase build plus a full search (the pre-space-cache
 //!   worst case);
 //! * **shared-space**: schedule cache still off, space cache on — the
 //!   8 chains collapse onto 2 content-distinct candidate spaces (one
@@ -148,13 +148,8 @@ fn main() {
         chains.len()
     );
     println!(
-        "  shared-space : {shared_wall:>7.2} s  ({} scans, {} searches, {} space hits, \
-         decode cache {} hits / {} misses)",
-        shared_stats.space_builds,
-        shared_stats.cache_misses,
-        shared_stats.space_cache_hits,
-        shared_stats.decode_cache_hits,
-        shared_stats.decode_cache_misses,
+        "  shared-space : {shared_wall:>7.2} s  ({} scans, {} searches, {} space hits)",
+        shared_stats.space_builds, shared_stats.cache_misses, shared_stats.space_cache_hits,
     );
     println!(
         "  batched      : {batch_wall:>7.2} s  ({} scans, {} searches)",
@@ -192,11 +187,7 @@ fn main() {
             "cold_scans": chains.len(),
             "shared_space_scans": shared_stats.space_builds,
             "shared_space_hits": shared_stats.space_cache_hits,
-            "shared_space_decode_hits": shared_stats.decode_cache_hits,
-            "shared_space_decode_misses": shared_stats.decode_cache_misses,
             "batched_searches": batch_stats.cache_misses,
-            "batched_decode_hits": batch_stats.decode_cache_hits,
-            "batched_decode_misses": batch_stats.decode_cache_misses,
             "space_evictions": shared_stats.space_evictions,
             "tuning_cache_evictions": shared_stats.tuning_cache_evictions,
             "speedup_shared_vs_cold": cold_wall / shared_wall,

@@ -171,15 +171,6 @@ pub struct EngineStats {
     /// [`TuningCache`]. Like spaces, evicted
     /// schedules re-tune deterministically; the counter sizes the bound.
     pub tuning_cache_evictions: u64,
-    /// `Ranked` block-decode lookups served from a thread-sharded decode
-    /// cache without a re-filter, summed over the [`SpaceCache`]'s
-    /// resident spaces. Hits ≫ misses is the healthy regime; a depressed
-    /// ratio under concurrency means threads are contending for (and
-    /// evicting) each other's shard slots.
-    pub decode_cache_hits: u64,
-    /// `Ranked` block re-filters (decode-cache misses), summed over the
-    /// [`SpaceCache`]'s resident spaces.
-    pub decode_cache_misses: u64,
     /// Lowered programs that passed the static verifier (fresh tuning
     /// winners and cache rehydrations both count; see
     /// `mcfuser_sim::verify`).
@@ -415,13 +406,6 @@ impl FusionEngine {
         stats.space_cache_hits = self.spaces.as_ref().map(|s| s.hits()).unwrap_or(0);
         stats.space_evictions = self.spaces.as_ref().map(|s| s.evictions()).unwrap_or(0);
         stats.tuning_cache_evictions = self.cache.as_ref().map(|c| c.evictions()).unwrap_or(0);
-        let (decode_hits, decode_misses) = self
-            .spaces
-            .as_ref()
-            .map(|s| s.decode_counters())
-            .unwrap_or((0, 0));
-        stats.decode_cache_hits = decode_hits;
-        stats.decode_cache_misses = decode_misses;
         stats
     }
 

@@ -15,25 +15,24 @@
 //! The paper reports the cascade `1.09×10⁸ → −80 % → −40 % → −99 % →
 //! −40 % → ≈10⁴` for the running example; [`PruneStats`] records the same
 //! waterfall. Our Rule-1/2 equivalence is slightly *stronger* than the
-//! paper's (see DESIGN.md): we find 2 equivalence classes where the paper
-//! reports 5 → 3, because we canonicalize flat and deep expressions that
-//! lower to identical per-block programs.
+//! paper's: we find 2 equivalence classes where the paper reports 5 → 3,
+//! because Rule 1 keys each expression on its per-block sub-expression
+//! ([`Candidate::dedup_key`]), which canonicalizes flat and deep
+//! expressions that lower to identical per-block programs.
 //!
 //! Rules 1–3 shrink the *factors* of the space (expressions and per-axis
-//! tile domains); Rule 4 is evaluated as a parallel scan over the Rule-3
-//! tile grid and becomes the survivor index of the returned
+//! tile domains); Rule 4 becomes the survivor index of the returned
 //! [`CandidateSpace`]. No candidate `Vec` is ever materialized and there
 //! is no cap: `PruneStats::after_rule4` is the exact count of candidates
 //! reachable by index.
 //!
-//! For grids past [`FRONTIER_MIN_GRID`](crate::FRONTIER_MIN_GRID) the
-//! scan exploits Eq. 1's monotonicity (the estimate is a sum of
+//! Rule 4 exploits Eq. 1's monotonicity (the estimate is a sum of
 //! `tileᵢ · tileⱼ` products, non-decreasing in every tile extent): the
 //! survivors of each fixed setting of the slow axes form a *prefix* of
 //! the fastest axis's ascending domain, so one binary search per row
-//! replaces a dense row sweep — `O(surface · log)` estimates instead of
-//! `O(volume)`, with a bit-identical survivor index
-//! (proptest-verified). `after_rule4` stays exact on both paths.
+//! finds them — `O(surface · log)` estimates instead of `O(volume)`.
+//! The per-row prefix lengths, prefix-summed, are the index (checked
+//! against an eager oracle by proptest).
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -174,7 +173,7 @@ pub(crate) fn rules123(
 }
 
 /// Run the full pruning cascade. Rule 4 becomes the lazy survivor index
-/// of the returned [`CandidateSpace`] — exact, parallel, uncapped.
+/// of the returned [`CandidateSpace`] — exact and uncapped.
 pub fn prune(chain: &ChainSpec, dev: &DeviceSpec, space: &SearchSpace) -> CandidateSpace {
     let (reps, tile_domains, stats) = rules123(chain, space);
     CandidateSpace::build(chain, reps, tile_domains, Some(dev.smem_per_block), stats)

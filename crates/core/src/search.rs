@@ -21,7 +21,6 @@
 
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -316,12 +315,8 @@ pub fn heuristic_search(
         let mut scored: Vec<(u64, f64)> = space
             .iter()
             .enumerate()
-            .par_bridge()
             .map(|(i, c)| (i as u64, rank_score(chain, &c, dev, params)))
             .collect();
-        // Sort by (score, index): the index tie-break keeps the ranking
-        // deterministic even though par_bridge does not guarantee
-        // arrival order.
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         for _ in &scored {
             clock.note_estimate();
@@ -352,9 +347,9 @@ pub fn heuristic_search(
 
     for round in 0..params.max_rounds {
         rounds = round + 1;
-        // Line 5: analytical estimates (free, parallel).
+        // Line 5: analytical estimates (free).
         let estimates: Vec<f64> = population
-            .par_iter()
+            .iter()
             .map(|(_, c)| rank_score(chain, c, dev, params))
             .collect();
         for _ in &estimates {

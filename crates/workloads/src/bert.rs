@@ -5,7 +5,8 @@
 //! expressed with the metadata `Reshape` op (element-order preserving);
 //! both the CPU reference and the fused execution interpret them the same
 //! way, so end-to-end numerics remain comparable even though a real
-//! framework would permute. See DESIGN.md ("substitutions").
+//! framework would permute. The substitution changes which elements each
+//! head sees, not any tensor shape or the FLOPs of any op.
 
 use mcfuser_ir::{Graph, GraphBuilder, NodeId};
 use mcfuser_sim::DType;

@@ -5,12 +5,13 @@
 use proptest::prelude::*;
 
 use mcfuser::core::{
-    build_candidate_space, build_candidate_space_scanned, heuristic_search, prune, CandidateSpace,
-    Rule4Scan, SearchParams, SearchSpace, SpacePolicy, FRONTIER_MIN_GRID,
+    build_candidate_space, heuristic_search, prune, CandidateSpace, SearchParams, SearchSpace,
+    SpacePolicy,
 };
 use mcfuser::prelude::*;
 use mcfuser::sim::TuningClock;
-use mcfuser::tile::{rule4_fits, Candidate, TilingExpr};
+use mcfuser::tile::{estimate_shmem_bytes, rule4_fits, Candidate, TilingExpr};
+use rustc_hash::FxHashMap;
 
 /// The old eager materialization, reproduced as a reference oracle: an
 /// axis-0-fastest odometer over the Rule-3 tile domains, Rule 4 as an
@@ -78,6 +79,20 @@ fn device_strategy() -> impl Strategy<Value = DeviceSpec> {
     prop::sample::select(vec![DeviceSpec::a100(), DeviceSpec::rtx3080()]).prop_map(|d| d)
 }
 
+/// Devices whose per-block budget cuts into the small grids above, so
+/// Rule 4 rejects part of most rows (and, at the smallest budgets,
+/// everything) — the stock budgets admit these grids whole.
+fn tight_device_strategy() -> impl Strategy<Value = DeviceSpec> {
+    (
+        device_strategy(),
+        prop::sample::select(vec![2u64, 4, 8, 16, 32, 64]),
+    )
+        .prop_map(|(mut dev, kib)| {
+            dev.smem_per_block = kib << 10;
+            dev
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -115,59 +130,64 @@ proptest! {
         prop_assert_eq!(lazy, eager);
     }
 
-    /// The frontier scan is the dense scan's oracle twin: for any chain
-    /// and device, forcing `Rule4Scan::Frontier` produces the *same*
-    /// survivor set — same count, same waterfall, same diagnostic
-    /// minimum estimate, and the same candidate at every index — while
-    /// touching O(surface) instead of O(volume) combinations. (The
-    /// frontier relies on Eq. 1 being monotone in each tile extent and
-    /// on ascending Rule-3 domains; this property test is what keeps
-    /// that assumption honest.)
+    /// The Rule-4 staircase against the eager oracle, in the encode
+    /// direction: every survivor maps back to its own index, and every
+    /// Rule-3 combination the oracle rejects maps to `None`. The
+    /// staircase relies on Eq. 1 being monotone in each tile extent and
+    /// on ascending Rule-3 domains; this test keeps that assumption
+    /// honest.
     #[test]
-    fn frontier_scan_equals_dense_scan(
+    fn staircase_equals_eager_oracle(
         chain in small_chain_strategy(),
-        dev in device_strategy(),
+        dev in tight_device_strategy(),
     ) {
-        let policy = SpacePolicy::default();
-        let dense = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Dense);
-        let frontier = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Frontier);
-        prop_assert!(!dense.frontier_scanned());
-        prop_assert!(frontier.frontier_scanned());
-        prop_assert_eq!(dense.len(), frontier.len());
-        prop_assert_eq!(dense.surviving_combos(), frontier.surviving_combos());
-        prop_assert_eq!(&dense.stats, &frontier.stats);
-        prop_assert_eq!(dense.min_estimated_smem(), frontier.min_estimated_smem());
-        for i in 0..dense.len() {
-            prop_assert_eq!(
-                dense.candidate(i),
-                frontier.candidate(i),
-                "survivor {} diverges",
-                i
-            );
-        }
+        let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
+        check_against_oracle(&space, Some(dev.smem_per_block))?;
+        // Monotone Eq. 1 puts the grid minimum at the smallest tiles.
+        let min = eager_materialize(&space, None)
+            .iter()
+            .map(|c| estimate_shmem_bytes(&chain, c))
+            .min();
+        prop_assert_eq!(space.min_estimated_smem(), min);
     }
 
-    /// With Rule 4 disabled there is nothing to scan: both strategies
-    /// degrade to the identical pass-all space.
+    /// The `-rule4` ablation is the same staircase with every row full.
     #[test]
-    fn frontier_scan_equals_dense_scan_without_rule4(
+    fn staircase_equals_eager_oracle_without_rule4(
         chain in small_chain_strategy(),
         dev in device_strategy(),
     ) {
         let policy = SpacePolicy { shared_memory_pruning: false, ..Default::default() };
-        let dense = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Dense);
-        let frontier = build_candidate_space_scanned(&chain, &dev, &policy, Rule4Scan::Frontier);
-        prop_assert!(!frontier.frontier_scanned(), "no Rule 4, no scan");
-        prop_assert_eq!(dense.len(), frontier.len());
-        prop_assert_eq!(dense.surviving_combos(), dense.grid_combos());
-        prop_assert_eq!(&dense.stats, &frontier.stats);
-        let step = (dense.len() / 97).max(1);
-        let mut i = 0;
-        while i < dense.len() {
-            prop_assert_eq!(dense.candidate(i), frontier.candidate(i));
-            i += step;
-        }
+        let space = build_candidate_space(&chain, &dev, &policy);
+        prop_assert_eq!(space.surviving_combos(), space.grid_combos());
+        prop_assert_eq!(space.min_estimated_smem(), None);
+        check_against_oracle(&space, None)?;
     }
+}
+
+/// `space` decodes every index to the oracle's candidate, encodes every
+/// oracle survivor back to its index, and encodes every Rule-3
+/// candidate the oracle rejects to `None`.
+fn check_against_oracle(
+    space: &CandidateSpace,
+    smem_limit: Option<u64>,
+) -> Result<(), TestCaseError> {
+    let survivors = eager_materialize(space, smem_limit);
+    prop_assert_eq!(space.len() as usize, survivors.len());
+    prop_assert_eq!(space.stats.after_rule4, survivors.len() as u128);
+    let index: FxHashMap<&Candidate, u64> = survivors.iter().zip(0u64..).collect();
+    for (i, c) in survivors.iter().enumerate() {
+        prop_assert_eq!(&space.candidate(i as u64), c, "decode diverges at {}", i);
+    }
+    for c in eager_materialize(space, None) {
+        prop_assert_eq!(
+            space.index_of(&c),
+            index.get(&c).copied(),
+            "encode of {:?}",
+            c
+        );
+    }
+    Ok(())
 }
 
 /// A 3-GEMM chain whose pruned space exceeds the old 200 000-candidate
@@ -184,44 +204,24 @@ fn big_3gemm() -> ChainSpec {
 }
 
 #[test]
-fn auto_scan_uses_the_frontier_past_the_threshold_and_matches_dense() {
+fn mlp3_1536_staircase_is_exact_and_round_trips() {
+    // Too large for the eager oracle: the count is pinned instead, and
+    // strided survivors (plus both ends) must pass Rule 4 and encode
+    // back to their own index.
+    let chain = big_3gemm();
     let dev = DeviceSpec::a100();
-    let policy = SpacePolicy::default();
-
-    // Small grid: Auto stays dense.
-    let small = ChainSpec::gemm_chain("small", 1, 256, 128, 64, 64);
-    let auto_small = build_candidate_space(&small, &dev, &policy);
-    assert!(auto_small.grid_combos() < FRONTIER_MIN_GRID);
-    assert!(!auto_small.frontier_scanned());
-
-    // The 273 885-survivor 3-GEMM chain: its Rule-3 grid is well past
-    // FRONTIER_MIN_GRID, so Auto must pick the frontier — and the
-    // resulting space must be indistinguishable from a forced dense
-    // scan (count, waterfall, diagnostics, and sampled survivors).
-    let big = big_3gemm();
-    let auto_big = build_candidate_space(&big, &dev, &policy);
-    assert!(
-        auto_big.grid_combos() >= FRONTIER_MIN_GRID,
-        "grid {} is supposed to exceed the frontier threshold",
-        auto_big.grid_combos()
-    );
-    assert!(auto_big.frontier_scanned(), "Auto must pick the frontier");
-    let dense = build_candidate_space_scanned(&big, &dev, &policy, Rule4Scan::Dense);
-    assert!(!dense.frontier_scanned());
-    assert_eq!(auto_big.len(), dense.len());
-    assert_eq!(auto_big.stats, dense.stats);
-    assert_eq!(auto_big.min_estimated_smem(), dense.min_estimated_smem());
-    let step = (dense.len() / 409).max(1);
-    let mut i = 0;
-    while i < dense.len() {
-        assert_eq!(auto_big.candidate(i), dense.candidate(i), "index {i}");
-        i += step;
+    let space = build_candidate_space(&chain, &dev, &SpacePolicy::default());
+    assert_eq!(space.len(), 273_885);
+    assert_eq!(space.stats.after_rule4, 273_885);
+    let step = space.len() / 409;
+    let indices = (0..space.len())
+        .step_by(step as usize)
+        .chain([space.len() - 1]);
+    for i in indices {
+        let c = space.candidate(i);
+        assert!(rule4_fits(&chain, &c, dev.smem_per_block), "index {i}");
+        assert_eq!(space.index_of(&c), Some(i), "round trip at {i}");
     }
-    // Including the extremes.
-    assert_eq!(
-        auto_big.candidate(dense.len() - 1),
-        dense.candidate(dense.len() - 1)
-    );
 }
 
 #[test]
