@@ -31,6 +31,17 @@
 //! weight) fall back to serial execution — correctness never depends
 //! on widening succeeding.
 //!
+//! **One step loop.** `run_steps` is the only step interpreter: a
+//! single request is a batch of width 1 that launches the plan's own
+//! programs, and an unbatchable batch of `k` runs `k` width-1 passes.
+//! [`ExecutablePlan::execute`], [`BatchedPlan::execute_batch`],
+//! [`ModelRuntime::infer`](crate::ModelRuntime::infer) and
+//! [`ModelRuntime::submit`](crate::ModelRuntime::submit) all execute
+//! through it. At release the loop returns a value to the arena only if
+//! it was drawn from the arena (kernel outputs and per-request output
+//! slices); reference outputs are fresh allocations and are dropped, so
+//! a serving arena's pool stops growing after warm-up.
+//!
 //! Outputs are **bit-identical** to serial execution by construction:
 //! blocks of the functional interpreter execute independently, so a
 //! widened launch performs exactly the per-request arithmetic in the
@@ -43,8 +54,8 @@ use rustc_hash::FxHashMap;
 
 use mcfuser_ir::Op;
 use mcfuser_sim::{
-    measure, BlockStmt, BufferArena, BufferRole, HostTensor, TensorStorage, TileAccess, TileIndex,
-    TileProgram, VarRef,
+    measure, visit_accesses, visit_accesses_mut, BufferArena, BufferRole, HostTensor,
+    TensorStorage, TileAccess, TileIndex, TileProgram, VarRef,
 };
 
 use crate::plan::{
@@ -57,14 +68,9 @@ pub(crate) struct WidenedStep {
     /// The widened, re-validated tile program.
     program: Arc<TileProgram>,
     /// Per data input: `true` if the buffer is shared across requests
-    /// (weights/biases, staged once), `false` if per-request (staged at
-    /// `r * slot_elems`).
+    /// (weights/biases, staged once), `false` if per-request (request
+    /// `r` fills the `r`-th of `k` equal slots).
     shared: Vec<bool>,
-    /// Per data input: elements one request (or the shared tensor)
-    /// occupies in the widened buffer.
-    slot_elems: Vec<usize>,
-    /// Elements of one request's output slice.
-    out_elems: usize,
     /// Measured virtual time of the widened launch.
     time: f64,
     /// Global-memory bytes of the widened launch.
@@ -102,12 +108,16 @@ pub struct BatchedPlan {
 
 impl BatchedPlan {
     /// Wrap a plan, probing once whether its fused steps widen safely.
+    /// A successful probe is kept as the width-2 entry of the cache.
     pub fn new(plan: Arc<ExecutablePlan>) -> Self {
-        let batchable = widen_plan(&plan, 2).is_some();
+        let mut widths = FxHashMap::default();
+        if let Some(w) = widen_plan(&plan, 2) {
+            widths.insert(2, Arc::new(w));
+        }
         BatchedPlan {
             plan,
-            batchable,
-            widths: Mutex::new(FxHashMap::default()),
+            batchable: !widths.is_empty(),
+            widths: Mutex::new(widths),
         }
     }
 
@@ -151,14 +161,8 @@ impl BatchedPlan {
 
     /// Execute `requests` as one widened batch, returning one
     /// [`Outputs`] per request in order. Bit-identical to executing
-    /// each request through [`ExecutablePlan::execute_in`] with the
-    /// same seed.
-    ///
-    /// Reference steps evaluate per request (weights resolve through
-    /// the shared store, so requests 2..k are cache hits); fused steps
-    /// stage shared weights once and each request's activations into
-    /// its `[r·B, (r+1)·B)` slots, launch the widened kernel once, and
-    /// scatter the output back per request.
+    /// each request through [`ExecutablePlan::execute`] with the same
+    /// seed; every step runs through the one step loop (module docs).
     pub fn execute_batch(
         &self,
         requests: &[&InputSet],
@@ -166,138 +170,141 @@ impl BatchedPlan {
         arena: &mut BufferArena,
         weights: Option<&WeightStore>,
     ) -> Result<Vec<Outputs>, ExecError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let plan = &*self.plan;
-        let widened = self.widened(requests.len());
-        let Some(widened) = widened else {
-            // Unbatchable (or a batch of one): serial, same arena.
-            return requests
-                .iter()
-                .map(|r| plan.execute_cached(r, opts, arena, weights))
-                .collect();
-        };
-
-        let mut tables: Vec<Vec<Option<Value<'_>>>> = requests
-            .iter()
-            .map(|r| plan.bind_inputs(r))
-            .collect::<Result<_, _>>()?;
-        let empty = FxHashMap::default();
-        for (s, step) in plan.steps.iter().enumerate() {
-            match step {
-                Step::Reference { node, .. } => {
-                    for table in &mut tables {
-                        let v = plan.eval_reference(*node, table, &empty, opts.seed, weights)?;
-                        table[node.0] = Some(v);
-                    }
-                }
-                Step::Fused {
-                    chain,
-                    data_inputs,
-                    transposed,
-                    output,
-                    out_shape,
-                    ..
-                } => {
-                    let ws = widened
-                        .fused
-                        .get(&s)
-                        .expect("every fused step of a widened plan is widened");
-                    let mut st = TensorStorage::for_program_in(&ws.program, arena);
-                    for (j, &node) in data_inputs.iter().enumerate() {
-                        let flip = transposed.get(j).copied().unwrap_or(false);
-                        if ws.shared[j] {
-                            // Weights are identical across the batch
-                            // (same plan, same seed): stage once from
-                            // the first request's table.
-                            stage_slice(&mut st, j, 0, &tables[0], node.0, flip, ws.slot_elems[j])
-                                .map_err(|detail| self.kernel_error(chain, detail))?;
-                        } else {
-                            for (r, table) in tables.iter().enumerate() {
-                                stage_slice(
-                                    &mut st,
-                                    j,
-                                    r * ws.slot_elems[j],
-                                    table,
-                                    node.0,
-                                    flip,
-                                    ws.slot_elems[j],
-                                )
-                                .map_err(|detail| self.kernel_error(chain, detail))?;
-                            }
-                        }
-                    }
-                    opts.backend
-                        .unwrap_or(plan.backend)
-                        .executor()
-                        .execute_with_arena(&ws.program, &mut st, arena)
-                        .map_err(|e| self.kernel_error(chain, e.to_string()))?;
-                    let out_data =
-                        std::mem::take(&mut st.tensors.last_mut().expect("output buffer").data);
-                    st.recycle(arena);
-                    for (r, table) in tables.iter_mut().enumerate() {
-                        let slice = &out_data[r * ws.out_elems..(r + 1) * ws.out_elems];
-                        table[output.0] = Some(Value::Owned(HostTensor::from_vec(
-                            out_shape,
-                            slice.to_vec(),
-                        )));
-                    }
-                    arena.put(out_data);
-                }
-            }
-            for node in plan.buffers.release_after(s) {
-                for table in &mut tables {
-                    if let Some(Value::Owned(t)) = table[node.0].take() {
-                        arena.put(t.data);
-                    }
-                }
-            }
-        }
-        Ok(tables
-            .iter_mut()
-            .map(|t| Outputs::from_entries(plan.collect_outputs(t)))
-            .collect())
-    }
-
-    fn kernel_error(&self, chain: &str, detail: String) -> ExecError {
-        ExecError::Kernel {
-            model: self.plan.name().to_string(),
-            chain: chain.to_string(),
-            detail,
-        }
+        let w = self.widened(requests.len());
+        run_steps(&self.plan, w.as_deref(), requests, opts, arena, weights)
     }
 }
 
-/// Stage one value-table entry into buffer `buf` of `st` at `offset`,
-/// transposing if the serial plan stages it transposed.
-fn stage_slice(
-    st: &mut TensorStorage,
-    buf: usize,
-    offset: usize,
-    table: &[Option<Value<'_>>],
-    node: usize,
-    transposed: bool,
-    expect_elems: usize,
-) -> Result<(), String> {
-    let src = table[node]
-        .as_ref()
-        .expect("topological order: input staged before use")
-        .tensor();
-    let flipped;
-    let data: &[f32] = if transposed {
-        flipped = src.transpose_last2();
-        &flipped.data
-    } else {
-        &src.data
-    };
-    if data.len() != expect_elems {
-        return Err(format!(
-            "batched input #{buf} holds {} elements, widened slot expects {expect_elems}",
-            data.len()
-        ));
+/// The step loop: run `requests` through every step of `plan`, drawing
+/// and recycling buffers through `arena`, and return one [`Outputs`]
+/// per request in order.
+///
+/// With `widened`, the `k` requests run as one batch: reference steps
+/// evaluate per request (weights resolve through `weights` when given,
+/// so requests 2..k are cache hits); each fused step stages shared
+/// weights once and each request's activations into its slot, launches
+/// the widened kernel once, and scatters the output into per-request
+/// slices drawn from the arena. Without it, one request launches the
+/// plan's own programs and the kernel output moves into the value
+/// table without a copy; several requests run as that many width-1
+/// passes.
+pub(crate) fn run_steps(
+    plan: &ExecutablePlan,
+    widened: Option<&WidenedPlan>,
+    requests: &[&InputSet],
+    opts: RunOptions,
+    arena: &mut BufferArena,
+    weights: Option<&WeightStore>,
+) -> Result<Vec<Outputs>, ExecError> {
+    if widened.is_none() && requests.len() != 1 {
+        let mut outs = Vec::with_capacity(requests.len());
+        for r in requests {
+            outs.extend(run_steps(plan, None, &[r], opts, arena, weights)?);
+        }
+        return Ok(outs);
     }
-    st.stage_at(buf, offset, data).map_err(|e| e.to_string())
+    let k = requests.len();
+    let mut tables: Vec<Vec<Option<Value<'_>>>> = requests
+        .iter()
+        .map(|r| plan.bind_inputs(r))
+        .collect::<Result<_, _>>()?;
+    let backend = opts.backend.unwrap_or(plan.backend);
+    let empty = FxHashMap::default();
+    for (s, step) in plan.steps.iter().enumerate() {
+        match step {
+            Step::Reference { node, .. } => {
+                for table in &mut tables {
+                    let v = plan.eval_reference(*node, table, &empty, opts.seed, weights)?;
+                    table[node.0] = Some(v);
+                }
+            }
+            Step::Fused {
+                chain,
+                program,
+                data_inputs,
+                transposed,
+                output,
+                out_shape,
+                ..
+            } => {
+                let kernel_error = |detail: String| ExecError::Kernel {
+                    model: plan.name.clone(),
+                    chain: chain.clone(),
+                    detail,
+                };
+                let (program, shared): (&TileProgram, &[bool]) = match widened {
+                    Some(w) => {
+                        let ws = &w.fused[&s];
+                        (&ws.program, &ws.shared)
+                    }
+                    None => (program, &[]),
+                };
+                let mut st = TensorStorage::for_program_in(program, arena);
+                for (j, &node) in data_inputs.iter().enumerate() {
+                    // Weights are identical across the batch (same plan,
+                    // same seed): stage them once from the first request.
+                    let lanes = if shared.get(j) == Some(&true) {
+                        &tables[..1]
+                    } else {
+                        &tables[..]
+                    };
+                    let n = st.tensors[j].data.len() / lanes.len();
+                    for (r, table) in lanes.iter().enumerate() {
+                        let src = table[node.0].as_ref().expect("topological order").tensor();
+                        // Transposition materializes a temporary; the
+                        // common case copies straight into the arena
+                        // buffer. (Chain buffers are [batch, rows, cols];
+                        // graph tensors may be flat 2-D with batch = 1 —
+                        // staging is by element count.)
+                        let flipped;
+                        let data: &[f32] = if transposed.get(j).copied().unwrap_or(false) {
+                            flipped = src.transpose_last2();
+                            &flipped.data
+                        } else {
+                            &src.data
+                        };
+                        if data.len() != n {
+                            return Err(kernel_error(format!(
+                                "input {j} holds {} elements, kernel expects {n}",
+                                data.len()
+                            )));
+                        }
+                        st.stage_at(j, r * n, data)
+                            .map_err(|e| kernel_error(e.to_string()))?;
+                    }
+                }
+                backend
+                    .executor()
+                    .execute_with_arena(program, &mut st, arena)
+                    .map_err(|e| kernel_error(e.to_string()))?;
+                let out = std::mem::take(&mut st.tensors.last_mut().expect("output buffer").data);
+                st.recycle(arena);
+                if let [table] = &mut tables[..] {
+                    table[output.0] = Some(Value::Pooled(HostTensor::from_vec(out_shape, out)));
+                } else {
+                    for (table, slice) in tables.iter_mut().zip(out.chunks_exact(out.len() / k)) {
+                        let mut lane = arena.take_unzeroed(slice.len());
+                        lane.copy_from_slice(slice);
+                        table[output.0] =
+                            Some(Value::Pooled(HostTensor::from_vec(out_shape, lane)));
+                    }
+                    arena.put(out);
+                }
+            }
+        }
+        for node in plan.buffers.release_after(s) {
+            for table in &mut tables {
+                // Only arena-drawn buffers go back; everything else drops.
+                if let Some(Value::Pooled(t)) = table[node.0].take() {
+                    arena.put(t.data);
+                }
+            }
+        }
+    }
+    Ok(tables
+        .iter_mut()
+        .map(|t| Outputs::from_entries(plan.collect_outputs(t)))
+        .collect())
 }
 
 /// Widen every fused step of `plan` to `width`, summing the batch's
@@ -353,7 +360,7 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     let nbufs = base.buffers.len();
     let mut any_access = vec![false; nbufs];
     let mut all_batch_led = vec![true; nbufs];
-    visit_accesses(&base.body, &mut |a: &TileAccess| {
+    visit_accesses(&base.body, &mut |a: &TileAccess, _| {
         let b = a.buf.0;
         any_access[b] = true;
         all_batch_led[b] &= leading_batch(a);
@@ -364,8 +371,7 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     p.grid[0] = batch * width as u64;
 
     let mut shared = vec![false; data_inputs.len()];
-    let mut slot_elems = vec![0usize; data_inputs.len()];
-    let mut out_elems = 0usize;
+    let mut out_elems = 0;
     let mut rewrite_zero = vec![false; nbufs];
     let mut j = 0usize;
     for (bi, buf) in p.buffers.iter_mut().enumerate() {
@@ -377,22 +383,19 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
                 if !any_access[bi] || !all_batch_led[bi] || buf.shape.first() != Some(&batch) {
                     return None;
                 }
-                out_elems = buf.len() as usize;
+                out_elems = buf.len();
                 buf.shape[0] = batch * width as u64;
             }
             BufferRole::Input => {
                 let node = *data_inputs.get(j)?;
-                let elems = buf.len() as usize;
                 let is_weight = matches!(plan.graph.node(node).op, Op::Weight);
                 if is_weight && buf.shape.first() == Some(&1) && buf.shape.len() >= 2 {
                     // A broadcast weight slab `[1, r, c]`: all requests
                     // read tile 0 — retarget the batch index to Zero.
                     shared[j] = true;
-                    slot_elems[j] = elems;
                     rewrite_zero[bi] = true;
                 } else if is_weight && !any_access[bi] {
                     shared[j] = true;
-                    slot_elems[j] = elems;
                 } else if is_weight && all_batch_led[bi] {
                     // Batch-replicated weight (`shape[0] == batch > 1`)
                     // — lowering never emits this; bail rather than
@@ -402,13 +405,10 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
                     // Bias-style aux: indexed by column only, already
                     // request-independent.
                     shared[j] = true;
-                    slot_elems[j] = elems;
                 } else if !any_access[bi] {
                     // Dead activation input: never read, stage once.
                     shared[j] = true;
-                    slot_elems[j] = elems;
                 } else if all_batch_led[bi] && buf.shape.first() == Some(&batch) {
-                    slot_elems[j] = elems;
                     buf.shape[0] = batch * width as u64;
                 } else {
                     return None;
@@ -440,8 +440,6 @@ fn widen_step(plan: &ExecutablePlan, s: usize, width: usize) -> Option<WidenedSt
     Some(WidenedStep {
         program: Arc::new(p),
         shared,
-        slot_elems,
-        out_elems,
         time: prof.time,
         bytes: prof.gmem_bytes,
     })
@@ -459,44 +457,104 @@ fn leading_batch(a: &TileAccess) -> bool {
     )
 }
 
-/// Visit every global-buffer access of a statement list (including the
-/// raw-global reads of the stitched prologue/epilogue statements — missing
-/// one here would silently misclassify its buffer during widening).
-fn visit_accesses(body: &[BlockStmt], f: &mut impl FnMut(&TileAccess)) {
-    for stmt in body {
-        match stmt {
-            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
-            BlockStmt::Load { src, .. } => f(src),
-            BlockStmt::Store { dst, .. } => f(dst),
-            BlockStmt::AddGlobal { src, .. } => f(src),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a);
-                if let Some(res) = residual {
-                    f(res);
-                }
-            }
-            _ => {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compiler::OpCostModel;
+    use mcfuser_ir::{Graph, GraphBuilder, NodeId};
+    use mcfuser_sim::{DType, DeviceSpec};
+
+    struct Flat;
+    impl OpCostModel for Flat {
+        fn name(&self) -> &str {
+            "flat"
+        }
+        fn op_time(&self, _: &Graph, _: NodeId, _: &DeviceSpec) -> f64 {
+            1e-5
+        }
+        fn tuning_seconds(&self, _: &Graph, _: &[NodeId], _: &DeviceSpec) -> f64 {
+            0.0
         }
     }
-}
 
-/// Mutably visit every global-buffer access of a statement list.
-fn visit_accesses_mut(body: &mut [BlockStmt], f: &mut impl FnMut(&mut TileAccess)) {
-    for stmt in body {
-        match stmt {
-            BlockStmt::Loop { body, .. } => visit_accesses_mut(body, f),
-            BlockStmt::Load { src, .. } => f(src),
-            BlockStmt::Store { dst, .. } => f(dst),
-            BlockStmt::AddGlobal { src, .. } => f(src),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a);
-                if let Some(res) = residual {
-                    f(res);
-                }
-            }
-            _ => {}
+    /// Two fused GEMM chains around reference glue (softmax, scale), so
+    /// a request produces kernel outputs and reference outputs alike.
+    fn plan() -> Arc<ExecutablePlan> {
+        let mut gb = GraphBuilder::new("glue-mlp", DType::F16);
+        let x = gb.input("x", vec![64, 32]);
+        let h = gb.linear("fc1", x, 64, false);
+        let y = gb.linear("fc2", h, 32, false);
+        let y = gb.softmax("sm", y, 1.0);
+        let y = gb.scale("sc", y, 0.5);
+        let h = gb.linear("fc3", y, 64, false);
+        let out = gb.linear("fc4", h, 32, false);
+        let graph = gb.finish(vec![out]);
+        let engine = crate::FusionEngine::builder(DeviceSpec::a100())
+            .fallback(Flat)
+            .build();
+        let plan = engine.compile_plan(&graph).unwrap();
+        let b = plan.step_breakdown();
+        assert!(b.fused_steps >= 2 && b.reference_elementwise >= 2, "{b:?}");
+        Arc::new(plan)
+    }
+
+    fn request(plan: &ExecutablePlan, phase: usize) -> InputSet {
+        let mut set = InputSet::new();
+        for b in plan.inputs() {
+            let len = b.shape.iter().product::<u64>() as usize;
+            let data = (0..len)
+                .map(|i| ((i + 7 * phase) % 19) as f32 / 19.0 - 0.5)
+                .collect();
+            set.insert(b.name.clone(), HostTensor::from_vec(&b.shape, data));
+        }
+        set
+    }
+
+    fn bits(o: &Outputs) -> Vec<u32> {
+        o.primary().data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn unbatchable_plan_runs_serial_passes() {
+        let plan = plan();
+        let batched = BatchedPlan {
+            plan: plan.clone(),
+            batchable: false,
+            widths: Mutex::new(FxHashMap::default()),
+        };
+        let requests: Vec<InputSet> = (0..3).map(|r| request(&plan, r)).collect();
+        let refs: Vec<&InputSet> = requests.iter().collect();
+        let opts = RunOptions::seeded(3);
+        let outs = batched
+            .execute_batch(&refs, opts, &mut BufferArena::new(), None)
+            .unwrap();
+        assert_eq!(outs.len(), 3);
+        for (got, r) in outs.iter().zip(&requests) {
+            assert_eq!(bits(got), bits(&plan.execute(r, opts).unwrap()));
+        }
+        let serial = (plan.virtual_time_per_request(), plan.bytes_per_request());
+        assert_eq!(batched.batch_span(3), (3.0 * serial.0, 3.0 * serial.1));
+    }
+
+    #[test]
+    fn arena_pool_stops_growing_after_warm_up() {
+        let plan = plan();
+        let batched = BatchedPlan::new(plan.clone());
+        assert!(batched.is_batchable());
+        let store = WeightStore::default();
+        let requests: Vec<InputSet> = (0..2).map(|r| request(&plan, r)).collect();
+        for width in [1, 2] {
+            let refs: Vec<&InputSet> = requests[..width].iter().collect();
+            let mut arena = BufferArena::new();
+            let pooled: Vec<usize> = (0..20)
+                .map(|_| {
+                    batched
+                        .execute_batch(&refs, RunOptions::seeded(1), &mut arena, Some(&store))
+                        .unwrap();
+                    arena.pooled_elems()
+                })
+                .collect();
+            assert_eq!(pooled[4], pooled[19], "width {width}: {pooled:?}");
         }
     }
 }

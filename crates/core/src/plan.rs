@@ -31,9 +31,10 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_ir::{Graph, GraphError, NodeId, Op};
 use mcfuser_sim::{
-    BufferArena, BufferRole, DType, DeviceSpec, ExecBackend, HostTensor, TensorStorage, TileProgram,
+    BufferArena, BufferRole, DType, DeviceSpec, ExecBackend, HostTensor, TileProgram,
 };
 
+use crate::batch::run_steps;
 use crate::engine::CompiledModel;
 
 /// Structured execution failure of a plan or runtime request.
@@ -404,16 +405,21 @@ pub struct InputBinding {
 /// `Cow`-style: request inputs stay **borrowed** from the caller's
 /// [`InputSet`], weights served from the runtime's per-(plan, seed)
 /// cache are **shared** [`Arc`]s, and only values actually computed
-/// during the request are **owned** (and recycled into the arena at
-/// their last use).
+/// during the request are **owned** or **pooled**. Only pooled values
+/// go back to the arena at their last use: a buffer the arena never
+/// handed out would otherwise sit in its pool forever.
 #[derive(Debug)]
 pub(crate) enum Value<'a> {
     /// Borrowed straight from the request's `InputSet` — zero-copy.
     Borrowed(&'a HostTensor),
     /// Shared from the runtime weight cache.
     Cached(Arc<HostTensor>),
-    /// Computed during this request; recyclable into the arena.
+    /// Computed by a reference step into a fresh allocation; dropped at
+    /// its last use.
     Owned(HostTensor),
+    /// A kernel output drawn from the request's arena; returned to it at
+    /// its last use.
+    Pooled(HostTensor),
 }
 
 impl Value<'_> {
@@ -421,7 +427,7 @@ impl Value<'_> {
         match self {
             Value::Borrowed(t) => t,
             Value::Cached(t) => t,
-            Value::Owned(t) => t,
+            Value::Owned(t) | Value::Pooled(t) => t,
         }
     }
 
@@ -429,7 +435,7 @@ impl Value<'_> {
         match self {
             Value::Borrowed(t) => t.clone(),
             Value::Cached(t) => (*t).clone(),
-            Value::Owned(t) => t,
+            Value::Owned(t) | Value::Pooled(t) => t,
         }
     }
 }
@@ -485,7 +491,7 @@ impl WeightStore {
 /// One frozen execution step of a plan, in topological order.
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// Run a fused kernel on the functional interpreter.
+    /// Run a fused kernel on the plan's execution backend.
     Fused {
         /// The fused chain's name (diagnostics).
         chain: String,
@@ -540,9 +546,9 @@ pub struct StepBreakdown {
 /// Per-node buffer sizing and liveness, computed once at plan time.
 ///
 /// `release_after[s]` lists the nodes whose values have no consumer
-/// after step `s` — execution recycles those buffers into the request's
-/// arena immediately, so the peak number of live intermediates is
-/// [`BufferPlan::peak_live`], not the node count.
+/// after step `s` — execution releases those values immediately (kernel
+/// outputs go back to the request's arena), so the peak number of live
+/// intermediates is [`BufferPlan::peak_live`], not the node count.
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
     slot_elems: Vec<u64>,
@@ -687,60 +693,13 @@ impl ExecutablePlan {
         &self.device
     }
 
-    /// Execute one request. Equivalent to
-    /// [`ExecutablePlan::execute_in`] with a throwaway arena.
+    /// Execute one request on a throwaway arena, deriving weights from
+    /// the seed (the runtime's `infer`/`submit` paths share a weight
+    /// store and a pooled arena instead).
     pub fn execute(&self, inputs: &InputSet, opts: RunOptions) -> Result<Outputs, ExecError> {
         let mut arena = BufferArena::new();
-        self.execute_in(inputs, opts, &mut arena)
-    }
-
-    /// Execute one request, drawing and recycling intermediate buffers
-    /// through a caller-provided arena (the hot path under a serving
-    /// loop — see [`ModelRuntime`](crate::ModelRuntime)).
-    pub fn execute_in(
-        &self,
-        inputs: &InputSet,
-        opts: RunOptions,
-        arena: &mut BufferArena,
-    ) -> Result<Outputs, ExecError> {
-        self.execute_cached(inputs, opts, arena, None)
-    }
-
-    /// [`ExecutablePlan::execute_in`] with an optional per-(plan, seed)
-    /// weight store: `Op::Weight` reference steps resolve through the
-    /// store instead of re-deriving the tensor from the seed on every
-    /// request. The runtime's `infer`/`submit` paths always pass one.
-    pub(crate) fn execute_cached(
-        &self,
-        inputs: &InputSet,
-        opts: RunOptions,
-        arena: &mut BufferArena,
-        weights: Option<&WeightStore>,
-    ) -> Result<Outputs, ExecError> {
-        let mut values = self.bind_inputs(inputs)?;
-        let empty: FxHashMap<NodeId, HostTensor> = FxHashMap::default();
-        for (s, step) in self.steps.iter().enumerate() {
-            match step {
-                Step::Reference { node, .. } => {
-                    let v = self.eval_reference(*node, &values, &empty, opts.seed, weights)?;
-                    values[node.0] = Some(v);
-                }
-                Step::Fused { .. } => {
-                    let backend = opts.backend.unwrap_or(self.backend);
-                    self.run_fused_step(s, &mut values, arena, backend)?
-                }
-            }
-            for node in &self.buffers.release_after[s] {
-                if let Some(Value::Owned(t)) = values[node.0].take() {
-                    arena.put(t.data);
-                }
-            }
-        }
-        // Move outputs out of the value table (it is dropped right
-        // after); clone only when the same node is declared again later.
-        Ok(Outputs {
-            entries: self.collect_outputs(&mut values),
-        })
+        let mut outs = run_steps(self, None, &[inputs], opts, &mut arena, None)?;
+        Ok(outs.pop().expect("one request, one Outputs"))
     }
 
     /// Evaluate one reference step, serving `Op::Weight` nodes from the
@@ -794,70 +753,6 @@ impl ExecutablePlan {
             entries.push((name.clone(), *id, t));
         }
         entries
-    }
-
-    /// Run the fused step `steps[s]`: stage its data inputs into an
-    /// arena-backed storage, execute the kernel, publish the output into
-    /// the value table.
-    fn run_fused_step(
-        &self,
-        s: usize,
-        values: &mut [Option<Value<'_>>],
-        arena: &mut BufferArena,
-        backend: ExecBackend,
-    ) -> Result<(), ExecError> {
-        let Step::Fused {
-            chain,
-            program,
-            data_inputs,
-            transposed,
-            output,
-            out_shape,
-            ..
-        } = &self.steps[s]
-        else {
-            unreachable!("run_fused_step is only called on fused steps");
-        };
-        let mut st = TensorStorage::for_program_in(program, arena);
-        for (j, &node) in data_inputs.iter().enumerate() {
-            let src = values[node.0].as_ref().expect("topological order").tensor();
-            // Transposition materializes a temporary; the common
-            // non-transposed case copies straight into the arena buffer.
-            // (Chain buffers are [batch, rows, cols]; graph tensors may
-            // be flat 2-D with batch = 1 — staging is by element count.)
-            let flipped;
-            let data: &[f32] = if transposed.get(j).copied().unwrap_or(false) {
-                flipped = src.transpose_last2();
-                &flipped.data
-            } else {
-                &src.data
-            };
-            let dst = &mut st.tensors[j];
-            if dst.data.len() != data.len() {
-                return Err(ExecError::Kernel {
-                    model: self.name.clone(),
-                    chain: chain.clone(),
-                    detail: format!(
-                        "input {j} holds {} elements, kernel expects {}",
-                        data.len(),
-                        dst.data.len()
-                    ),
-                });
-            }
-            dst.data.copy_from_slice(data);
-        }
-        backend
-            .executor()
-            .execute_with_arena(program, &mut st, arena)
-            .map_err(|e| ExecError::Kernel {
-                model: self.name.clone(),
-                chain: chain.clone(),
-                detail: e.to_string(),
-            })?;
-        let out_data = std::mem::take(&mut st.tensors.last_mut().expect("output buffer").data);
-        st.recycle(arena);
-        values[output.0] = Some(Value::Owned(HostTensor::from_vec(out_shape, out_data)));
-        Ok(())
     }
 
     /// Validate the request's inputs against the binding table and seed

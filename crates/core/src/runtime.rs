@@ -57,7 +57,7 @@ use rustc_hash::FxHashMap;
 
 use mcfuser_sim::BufferArena;
 
-use crate::batch::BatchedPlan;
+use crate::batch::{run_steps, BatchedPlan, WidenedPlan};
 use crate::cache::TuningCache;
 use crate::plan::{ExecError, ExecutablePlan, InputSet, Outputs, RunOptions, WeightStore};
 use crate::scheduler::Scheduler;
@@ -473,25 +473,39 @@ impl ModelRuntime {
                 name: model.to_string(),
             });
         };
+        let span = plan.virtual_time_per_request();
+        let (result, wall) = self.launch(model, &plan, None, &[inputs], opts, span);
+        let out = result?.pop().expect("one request, one Outputs");
+        self.record_success(model, span, wall, plan.bytes_per_request());
+        Ok(out)
+    }
+
+    /// Run `requests` through the step loop (see [`run_steps`]) on a
+    /// pooled arena with the `(model, opts.seed)` weight store, timing
+    /// the launch on the wall clock. On success the launch ledgers
+    /// `span` virtual seconds of device occupancy; on failure every
+    /// request counts as failed. Returns the outputs and the launch's
+    /// wall seconds.
+    pub(crate) fn launch(
+        &self,
+        model: &str,
+        plan: &ExecutablePlan,
+        widened: Option<&WidenedPlan>,
+        requests: &[&InputSet],
+        opts: RunOptions,
+        span: f64,
+    ) -> (Result<Vec<Outputs>, ExecError>, f64) {
         let store = self.weights.store(model, opts.seed);
         let mut arena = self.arena();
         let started = std::time::Instant::now();
-        let result = plan.execute_cached(inputs, opts, &mut arena, Some(&store));
+        let result = run_steps(plan, widened, requests, opts, &mut arena, Some(&store));
         let wall = started.elapsed().as_secs_f64();
         self.recycle_arena(arena);
         match &result {
-            Ok(_) => {
-                self.record_success(
-                    model,
-                    plan.virtual_time_per_request(),
-                    wall,
-                    plan.bytes_per_request(),
-                );
-                self.record_busy(model, plan.virtual_time_per_request(), wall);
-            }
-            Err(_) => self.count_failure(),
+            Ok(_) => self.record_busy(model, span, wall),
+            Err(_) => *self.failed.lock() += requests.len() as u64,
         }
-        result
+        (result, wall)
     }
 
     /// The batched wrapper for a registered model, built on first use
@@ -507,12 +521,12 @@ impl ModelRuntime {
     }
 
     /// Pop a pooled buffer arena (or a fresh one).
-    pub(crate) fn arena(&self) -> BufferArena {
+    fn arena(&self) -> BufferArena {
         self.arenas.lock().pop().unwrap_or_default()
     }
 
     /// Return an arena to the pool, unless the pool is already warm.
-    pub(crate) fn recycle_arena(&self, arena: BufferArena) {
+    fn recycle_arena(&self, arena: BufferArena) {
         let mut pool = self.arenas.lock();
         if pool.len() < ARENA_POOL_LIMIT {
             pool.push(arena);
@@ -535,7 +549,7 @@ impl ModelRuntime {
 
     /// Ledger device seconds occupied by a launch (once per batch, not
     /// once per request): `span` virtual, `wall` host seconds.
-    pub(crate) fn record_busy(&self, model: &str, span: f64, wall: f64) {
+    fn record_busy(&self, model: &str, span: f64, wall: f64) {
         let mut records = self.records.lock();
         let rec = records
             .entry(model.to_string())

@@ -365,17 +365,19 @@ impl ModelRuntime {
             }
             *sched.batch_sizes.lock().entry(batch.len()).or_insert(0) += 1;
 
-            let store = self.weights.store(model, key.1);
             let refs: Vec<&InputSet> = batch.iter().map(|p| &p.inputs).collect();
-            let mut arena = self.arena();
-            let started = Instant::now();
-            let result = batched.execute_batch(&refs, batch[0].opts, &mut arena, Some(&store));
-            let exec_wall = started.elapsed().as_secs_f64();
-            self.recycle_arena(arena);
+            let widened = batched.widened(batch.len());
+            let (result, _) = self.launch(
+                model,
+                batched.plan(),
+                widened.as_deref(),
+                &refs,
+                batch[0].opts,
+                batch_span,
+            );
             match result {
                 Ok(outs) => {
                     let per_request_bytes = batch_bytes / batch.len() as f64;
-                    self.record_busy(model, batch_span, exec_wall);
                     for (p, out) in batch.iter().zip(outs) {
                         // Wall latency is enqueue-to-completion — it
                         // includes the batching window and queueing, the
@@ -392,7 +394,6 @@ impl ModelRuntime {
                 }
                 Err(e) => {
                     for p in &batch {
-                        self.count_failure();
                         p.slot.fill(Err(e.clone()));
                     }
                 }

@@ -283,6 +283,11 @@ impl BufferArena {
     pub fn allocs(&self) -> u64 {
         self.allocs
     }
+
+    /// Elements currently held in the pool, across every size class.
+    pub fn pooled_elems(&self) -> usize {
+        self.free.values().flatten().map(Vec::len).sum()
+    }
 }
 
 /// Execution failure.

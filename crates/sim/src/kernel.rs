@@ -341,6 +341,71 @@ pub fn classify_nest(stmts: &[BlockStmt]) -> NestClass {
     }
 }
 
+/// Visit every global-buffer access of a statement list, with `true`
+/// for a store. The raw-global reads of the stitched prologue/epilogue
+/// statements are accesses too; the match is exhaustive so a new
+/// statement kind must say whether it touches global memory.
+pub fn visit_accesses(stmts: &[BlockStmt], f: &mut impl FnMut(&TileAccess, bool)) {
+    for s in stmts {
+        match s {
+            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
+            BlockStmt::Load { src, .. } | BlockStmt::AddGlobal { src, .. } => f(src, false),
+            BlockStmt::Store { dst, .. } => f(dst, true),
+            BlockStmt::RowNormStats { a, residual, .. }
+            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
+                f(a, false);
+                if let Some(r) = residual {
+                    f(r, false);
+                }
+            }
+            BlockStmt::Fill { .. }
+            | BlockStmt::Gemm { .. }
+            | BlockStmt::OnlineSoftmax { .. }
+            | BlockStmt::RowDiv { .. }
+            | BlockStmt::Relu { .. }
+            | BlockStmt::Gelu { .. }
+            | BlockStmt::Scale { .. }
+            | BlockStmt::AddTile { .. }
+            | BlockStmt::AddBias { .. }
+            | BlockStmt::Exp { .. }
+            | BlockStmt::NormalizeTile { .. }
+            | BlockStmt::Quantize { .. }
+            | BlockStmt::LayerNormTile { .. } => {}
+        }
+    }
+}
+
+/// [`visit_accesses`] with mutable access (for rewriting indices).
+pub fn visit_accesses_mut(stmts: &mut [BlockStmt], f: &mut impl FnMut(&mut TileAccess)) {
+    for s in stmts {
+        match s {
+            BlockStmt::Loop { body, .. } => visit_accesses_mut(body, f),
+            BlockStmt::Load { src, .. } | BlockStmt::AddGlobal { src, .. } => f(src),
+            BlockStmt::Store { dst, .. } => f(dst),
+            BlockStmt::RowNormStats { a, residual, .. }
+            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
+                f(a);
+                if let Some(r) = residual {
+                    f(r);
+                }
+            }
+            BlockStmt::Fill { .. }
+            | BlockStmt::Gemm { .. }
+            | BlockStmt::OnlineSoftmax { .. }
+            | BlockStmt::RowDiv { .. }
+            | BlockStmt::Relu { .. }
+            | BlockStmt::Gelu { .. }
+            | BlockStmt::Scale { .. }
+            | BlockStmt::AddTile { .. }
+            | BlockStmt::AddBias { .. }
+            | BlockStmt::Exp { .. }
+            | BlockStmt::NormalizeTile { .. }
+            | BlockStmt::Quantize { .. }
+            | BlockStmt::LayerNormTile { .. } => {}
+        }
+    }
+}
+
 /// A complete virtual kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileProgram {

@@ -66,9 +66,9 @@ pub use exec::{
 };
 pub use exec_vec::{ExecBackend, InterpreterExec, KernelExecutor, VectorizedExec};
 pub use kernel::{
-    ceil_div, classify_nest, BlockStmt, BufId, BufferDecl, BufferRole, ClipMark, LoopHandle,
-    NestClass, ProgramBuilder, ProgramError, SmemDecl, SmemId, TileAccess, TileIndex, TileProgram,
-    VarRef,
+    ceil_div, classify_nest, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl,
+    BufferRole, ClipMark, LoopHandle, NestClass, ProgramBuilder, ProgramError, SmemDecl, SmemId,
+    TileAccess, TileIndex, TileProgram, VarRef,
 };
 pub use report::explain;
 pub use stream::{sequence_time, StreamKernel};

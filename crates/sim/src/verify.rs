@@ -47,8 +47,8 @@
 use crate::dtype::DType;
 use crate::exec::HostTensor;
 use crate::kernel::{
-    BlockStmt, BufId, BufferRole, ClipMark, LoopHandle, ProgramError, SmemId, TileAccess,
-    TileProgram, VarRef,
+    visit_accesses, BlockStmt, BufId, BufferRole, ClipMark, LoopHandle, ProgramError, SmemId,
+    TileAccess, TileProgram, VarRef,
 };
 
 /// A violation found by the static verifier. Every variant names the
@@ -812,25 +812,6 @@ pub fn verify_widened(p: &TileProgram) -> Result<VerifyReport, VerifyError> {
         }
     }
     Ok(report)
-}
-
-fn visit_accesses(stmts: &[BlockStmt], f: &mut impl FnMut(&TileAccess, bool)) {
-    for s in stmts {
-        match s {
-            BlockStmt::Loop { body, .. } => visit_accesses(body, f),
-            BlockStmt::Load { src, .. } => f(src, false),
-            BlockStmt::Store { dst, .. } => f(dst, true),
-            BlockStmt::AddGlobal { src, .. } => f(src, false),
-            BlockStmt::RowNormStats { a, residual, .. }
-            | BlockStmt::AddRecomputedNorm { a, residual, .. } => {
-                f(a, false);
-                if let Some(r) = residual {
-                    f(r, false);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Record the partial final tiles a lowered program is *expected* to
