@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use mcfuser_core::FusionEngine;
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
 
@@ -76,6 +77,25 @@ pub trait Backend: Sync {
 
     /// Compile + run one MBCI chain on a device.
     fn run_chain(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<ChainRun, Unsupported>;
+}
+
+/// Tune a chain through an engine and report it as one fused kernel:
+/// its measured time, the engine's tuning cost for it, and the winning
+/// schedule. The MCFuser and MCFuser-Chimera backends both run this.
+pub(crate) fn engine_run(
+    engine: &FusionEngine,
+    chain: &ChainSpec,
+) -> Result<ChainRun, Unsupported> {
+    let tuned = engine
+        .tune(chain)
+        .map_err(|e| Unsupported::new(e.to_string()))?;
+    Ok(ChainRun {
+        time: tuned.profile.time,
+        tuning_seconds: tuned.tuning.virtual_seconds,
+        kernels: 1,
+        fused: true,
+        note: tuned.candidate.describe(chain),
+    })
 }
 
 #[cfg(test)]

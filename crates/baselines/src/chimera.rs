@@ -11,13 +11,17 @@
 //!    data movement, "neglecting the impact of redundant computation");
 //! 3. **no dead-loop elimination** — statements hoist only to their
 //!    rightmost related loop, missing the Fig. 5(b) opportunities.
+//!
+//! Everything else is MCFuser's own pipeline: the chain is tuned through
+//! a [`FusionEngine`] configured with [`SearchParams::chimera`] and a
+//! deep-only [`SpacePolicy`], so its winners pass the same static
+//! verifier gate as MCFuser's.
 
-use mcfuser_core::{heuristic_search, prune, SearchParams, SearchSpace};
+use mcfuser_core::{CachePolicy, FusionEngine, SearchParams, SpacePolicy};
 use mcfuser_ir::ChainSpec;
-use mcfuser_sim::{DeviceSpec, TuningClock};
-use mcfuser_tile::{enumerate_deep, tile_options};
+use mcfuser_sim::DeviceSpec;
 
-use crate::backend::{Backend, Capabilities, ChainRun, Unsupported};
+use crate::backend::{engine_run, Backend, Capabilities, ChainRun, Unsupported};
 
 /// The MCFuser-Chimera baseline.
 #[derive(Debug, Default, Clone)]
@@ -39,25 +43,17 @@ impl Backend for Chimera {
     }
 
     fn run_chain(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<ChainRun, Unsupported> {
-        // Deep-only search space.
-        let space = SearchSpace {
-            chain: chain.clone(),
-            exprs: enumerate_deep(chain),
-            tile_domains: (0..chain.num_axes())
-                .map(|a| tile_options(chain.axis_extent(a)))
-                .collect(),
-        };
-        let pruned = prune(chain, dev, &space);
-        let clock = TuningClock::new();
-        let outcome = heuristic_search(chain, dev, &pruned, &SearchParams::chimera(), &clock)
-            .ok_or_else(|| Unsupported::new("no viable candidate"))?;
-        Ok(ChainRun {
-            time: outcome.best_time,
-            tuning_seconds: clock.virtual_seconds(),
-            kernels: 1,
-            fused: true,
-            note: outcome.best.describe(chain),
-        })
+        // One fresh engine per chain: nothing is reused across calls,
+        // so every run reports its full tuning cost.
+        let engine = FusionEngine::builder(dev.clone())
+            .search_params(SearchParams::chimera())
+            .space_policy(SpacePolicy {
+                deep_tiling_only: true,
+                ..SpacePolicy::default()
+            })
+            .cache(CachePolicy::Disabled)
+            .build();
+        engine_run(&engine, chain)
     }
 }
 
@@ -86,5 +82,49 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
         let run = Chimera.run_chain(&chain, &DeviceSpec::a100()).unwrap();
         assert!(run.tuning_seconds < 300.0, "{}", run.tuning_seconds);
+    }
+
+    /// Routing Chimera through the engine changes nothing: the result
+    /// is bit-identical to pruning the hand-built deep-only space and
+    /// running Algorithm 1 over it directly.
+    #[test]
+    fn engine_route_matches_the_raw_deep_space_search() {
+        use mcfuser_core::{heuristic_search, prune, SearchSpace};
+        use mcfuser_sim::TuningClock;
+        use mcfuser_tile::{enumerate_deep, tile_options};
+        use mcfuser_workloads::{attention_workload, gemm_chain_workload};
+
+        let dev = DeviceSpec::a100();
+        for chain in [
+            gemm_chain_workload("G1").unwrap(),
+            attention_workload("S1").unwrap(),
+        ] {
+            let space = SearchSpace {
+                chain: chain.clone(),
+                exprs: enumerate_deep(&chain),
+                tile_domains: (0..chain.num_axes())
+                    .map(|a| tile_options(chain.axis_extent(a)))
+                    .collect(),
+            };
+            let pruned = prune(&chain, &dev, &space);
+            let clock = TuningClock::new();
+            let raw = heuristic_search(&chain, &dev, &pruned, &SearchParams::chimera(), &clock)
+                .expect("a viable candidate");
+
+            let run = Chimera.run_chain(&chain, &dev).unwrap();
+            assert_eq!(
+                run.time.to_bits(),
+                raw.best_time.to_bits(),
+                "{}",
+                chain.name
+            );
+            assert_eq!(
+                run.tuning_seconds.to_bits(),
+                clock.virtual_seconds().to_bits(),
+                "{}",
+                chain.name
+            );
+            assert_eq!(run.note, raw.best.describe(&chain), "{}", chain.name);
+        }
     }
 }

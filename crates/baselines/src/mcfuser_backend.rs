@@ -20,7 +20,7 @@ use mcfuser_core::{
 use mcfuser_ir::{ChainSpec, Graph};
 use mcfuser_sim::DeviceSpec;
 
-use crate::backend::{Backend, Capabilities, ChainRun, Unsupported};
+use crate::backend::{engine_run, Backend, Capabilities, ChainRun, Unsupported};
 use crate::relay::Relay;
 
 /// MCFuser as a benchmarkable backend.
@@ -138,17 +138,7 @@ impl Backend for McFuserBackend {
     }
 
     fn run_chain(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<ChainRun, Unsupported> {
-        let engine = self.engine_for(dev);
-        let tuned = engine
-            .tune(chain)
-            .map_err(|e| Unsupported::new(e.to_string()))?;
-        Ok(ChainRun {
-            time: tuned.profile.time,
-            tuning_seconds: tuned.tuning.virtual_seconds,
-            kernels: 1,
-            fused: true,
-            note: tuned.candidate.describe(chain),
-        })
+        engine_run(&self.engine_for(dev), chain)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Batched-tuning smoke test: tune the 8 MBCI chains of a 4-layer mini
 //! BERT (4 attention + 4 FFN) three ways and time them —
 //!
-//! * **cold**: schedule cache off, space cache off — every chain pays
-//!   its own Rule-4 staircase build plus a full search (the pre-space-cache
+//! * **cold**: no engine and no caches — every chain builds its own
+//!   candidate space (`build_candidate_space`, one Rule-4 staircase
+//!   build) and runs its own `heuristic_search` (the pre-space-cache
 //!   worst case);
 //! * **shared-space**: schedule cache still off, space cache on — the
 //!   8 chains collapse onto 2 content-distinct candidate spaces (one
@@ -22,9 +23,12 @@
 
 use std::time::Instant;
 
-use mcfuser_core::{CachePolicy, FusionEngine, TunedKernel};
+use mcfuser_core::{
+    build_candidate_space, heuristic_search, CachePolicy, FusionEngine, SearchOutcome,
+    SearchParams, SpacePolicy, TunedKernel,
+};
 use mcfuser_ir::{partition, ChainSpec};
-use mcfuser_sim::DeviceSpec;
+use mcfuser_sim::{DeviceSpec, TuningClock};
 use mcfuser_workloads::{bert_graph, BertConfig};
 
 fn main() {
@@ -66,21 +70,16 @@ fn main() {
     );
 
     // --- cold: per-chain scans, per-chain searches ----------------------
-    let cold_engine = FusionEngine::builder(device.clone())
-        .cache(CachePolicy::Disabled)
-        .space_cache(false)
-        .build();
+    let params = SearchParams::default();
     let cold_start = Instant::now();
-    let cold: Vec<TunedKernel> = chains
+    let cold: Vec<SearchOutcome> = chains
         .iter()
-        .map(|c| cold_engine.tune(c).expect("cold tune"))
+        .map(|c| {
+            let space = build_candidate_space(c, &device, &SpacePolicy::default());
+            heuristic_search(c, &device, &space, &params, &TuningClock::new()).expect("cold tune")
+        })
         .collect();
     let cold_wall = cold_start.elapsed().as_secs_f64();
-    assert_eq!(
-        cold_engine.stats().space_builds,
-        chains.len() as u64,
-        "cold tuning pays one Rule-4 scan per chain"
-    );
 
     // --- shared-space: one scan per shape, searches unchanged -----------
     let shared_engine = FusionEngine::builder(device.clone())
@@ -102,7 +101,7 @@ fn main() {
         (chains.len() - shapes) as u64
     );
     for (a, b) in cold.iter().zip(&shared) {
-        assert_eq!(a.candidate, b.candidate, "shared-space winner diverged");
+        assert_eq!(a.best, b.candidate, "shared-space winner diverged");
         assert_eq!(a.profile.time, b.profile.time);
     }
 
@@ -137,7 +136,7 @@ fn main() {
     }
     for &i in &first_of_shape {
         assert_eq!(
-            batched[i].candidate, cold[i].candidate,
+            batched[i].candidate, cold[i].best,
             "batched winner diverged from the per-chain build"
         );
     }

@@ -5,18 +5,22 @@
 //! serving plans ([`FusionEngine::compile_plan`] →
 //! [`ModelRuntime`](crate::ModelRuntime)).
 //!
-//! Previously these lived behind three disjoint entry points
-//! (`McFuser::tune`, a free `compile_graph`, `Backend::run_chain`) with no
-//! shared configuration or reuse. The engine consolidates them the way
-//! FusionStitching and Blockbuster turn a fusion algorithm into a
-//! reusable compiler service:
+//! It is the only way to tune: the MCFuser backend, the MCFuser-Chimera
+//! comparator and every ablation variant configure an engine rather
+//! than calling the search directly, the way FusionStitching and
+//! Blockbuster serve a fusion algorithm as one configured compiler
+//! service. The engine
 //!
-//! * built once via [`EngineBuilder`] with explicit knobs — target
+//! * is built once via [`EngineBuilder`] with explicit knobs — target
 //!   [`DeviceSpec`], [`SearchParams`], fallback [`OpCostModel`],
 //!   [`CachePolicy`], [`SpacePolicy`], and a parallelism degree;
 //! * owns a content-addressed [`TuningCache`] keyed by chain content
 //!   (dtype included), input-transpose layout, device, and search
-//!   configuration;
+//!   configuration, and a [`SpaceCache`] that shares one built
+//!   candidate space among same-shaped chains;
+//! * gates every kernel it returns through the static verifier
+//!   (`mcfuser_sim::verify`): fresh winners before they are cached,
+//!   cached schedules each time they are rehydrated;
 //! * tunes independent chains in parallel with deterministic results:
 //!   each chain runs on its own virtual clock (merged afterwards), so
 //!   the winning candidates and every aggregate are identical at any
@@ -46,14 +50,14 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_ir::{partition_with, ChainSpec, Graph, NodeId, PartitionOptions};
 use mcfuser_sim::{measure_noisy, DeviceSpec, ExecBackend, TuningClock, TuningReport};
-use mcfuser_tile::{lower, Candidate, LoweringOptions, TilingExpr};
+use mcfuser_tile::{lower, Candidate, TilingExpr};
 
 use crate::cache::{CacheKey, CachedTuning, JsonDiskCache, MemoryCache, TuningCache};
 use crate::compiler::OpCostModel;
 use crate::plan::ExecutablePlan;
 use crate::search::SearchParams;
 use crate::space::{space_fingerprint, CandidateSpace, SpaceCache};
-use crate::tuner::{build_candidate_space, McFuser, SpacePolicy, TuneError, TunedKernel};
+use crate::tuner::{build_candidate_space, tune_in_space, SpacePolicy, TuneError, TunedKernel};
 
 /// One fused sub-graph in a compiled model.
 #[derive(Debug, Clone)]
@@ -153,14 +157,12 @@ pub struct EngineStats {
     /// the failure as a `Result`.
     pub cache_persist_errors: u64,
     /// Candidate spaces built from scratch (each one Rule-4 scan).
-    /// With the space cache enabled this counts *distinct space
-    /// fingerprints*, not tuning tasks: N same-shaped chains cost one
-    /// build.
+    /// This counts *distinct space fingerprints* (plus rebuilds after
+    /// eviction), not tuning tasks: N same-shaped chains cost one build.
     pub space_builds: u64,
     /// Tuning tasks whose candidate space was served from the engine's
-    /// [`SpaceCache`] (always 0 with the cache disabled, or when the
-    /// tuning cache answered first — a schedule hit never builds a
-    /// space at all).
+    /// [`SpaceCache`] (a schedule hit in the tuning cache never reaches
+    /// the space cache at all).
     pub space_cache_hits: u64,
     /// Candidate spaces evicted from the LRU-bounded [`SpaceCache`].
     /// Eviction is safe — spaces rebuild deterministically — but a
@@ -192,10 +194,8 @@ pub struct EngineBuilder {
     cache: CachePolicy,
     custom_cache: Option<Box<dyn TuningCache>>,
     parallelism: usize,
-    space_caching: bool,
     stitching: bool,
     exec_backend: ExecBackend,
-    verify: bool,
 }
 
 impl EngineBuilder {
@@ -209,23 +209,9 @@ impl EngineBuilder {
             cache: CachePolicy::default(),
             custom_cache: None,
             parallelism: 1,
-            space_caching: true,
             stitching: true,
             exec_backend: ExecBackend::default(),
-            verify: true,
         }
-    }
-
-    /// Whether tuned programs are gated through the static verifier
-    /// (symbolic bounds, init/def-use, inter-block race analysis;
-    /// default: on). Every fresh tuning winner is verified before it is
-    /// cached, and every cache rehydration is re-verified before it is
-    /// served — a reject surfaces as [`TuneError::Verify`] (fresh) or a
-    /// forced re-tune (cached). Disable only to measure the gate's own
-    /// cost; correctness-critical paths should leave it on.
-    pub fn verify(mut self, enabled: bool) -> Self {
-        self.verify = enabled;
-        self
     }
 
     /// Which execution backend plans compiled by this engine run fused
@@ -278,18 +264,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether the engine shares built candidate spaces across tuning
-    /// tasks (default: on). Spaces are content-addressed by
-    /// [`space_fingerprint`] — everything construction depends on
-    /// except the chain's name — so N same-shaped chains (every BERT
-    /// layer) pay for one Rule-4 scan instead of N. Results are
-    /// bit-identical either way; disable only to measure the scan cost
-    /// itself (the `tune_smoke` bench does).
-    pub fn space_cache(mut self, enabled: bool) -> Self {
-        self.space_caching = enabled;
-        self
-    }
-
     /// Whether the partitioner stitches adjacent elementwise glue
     /// (LayerNorm prologues, residual-Add/LayerNorm epilogues) into the
     /// fused chains (default: on). Disabling it extracts the *same*
@@ -324,20 +298,17 @@ impl EngineBuilder {
         };
         FusionEngine {
             device: self.device,
-            tuner: McFuser {
-                params: self.params,
-            },
+            params: self.params,
             policy: self.policy,
             fallback: self.fallback,
             cache,
-            spaces: self.space_caching.then(SpaceCache::new),
+            spaces: SpaceCache::new(),
             space_builds: AtomicU64::new(0),
             stitching: self.stitching,
             parallelism: self.parallelism.max(1),
             clock: TuningClock::new(),
             stats: Mutex::new(EngineStats::default()),
             exec_backend: self.exec_backend,
-            verify: self.verify,
         }
     }
 }
@@ -347,14 +318,16 @@ impl EngineBuilder {
 /// and safe to share across request threads.
 pub struct FusionEngine {
     device: DeviceSpec,
-    tuner: McFuser,
+    params: SearchParams,
     policy: SpacePolicy,
     fallback: Option<Arc<dyn OpCostModel + Send + Sync>>,
     cache: Option<Arc<dyn TuningCache>>,
-    /// Built candidate spaces, shared across same-shaped tuning tasks
-    /// (`None` when disabled via [`EngineBuilder::space_cache`]).
-    spaces: Option<SpaceCache>,
-    /// Fresh space constructions, cache or not (the Rule-4 scan probe).
+    /// Built candidate spaces, shared across same-shaped tuning tasks.
+    /// Spaces are content-addressed by [`space_fingerprint`] —
+    /// everything construction depends on except the chain's name — so
+    /// N same-shaped chains (every BERT layer) pay for one Rule-4 scan.
+    spaces: SpaceCache,
+    /// Fresh space constructions (the Rule-4 scan probe).
     space_builds: AtomicU64,
     /// Whether compilation stitches prologue/epilogue glue into chains.
     stitching: bool,
@@ -364,9 +337,6 @@ pub struct FusionEngine {
     /// Backend stamped into every [`CompiledModel`] / [`ExecutablePlan`]
     /// this engine produces.
     exec_backend: ExecBackend,
-    /// Whether tuned programs pass through the static verifier before
-    /// being cached or served (see [`EngineBuilder::verify`]).
-    verify: bool,
 }
 
 impl std::fmt::Debug for FusionEngine {
@@ -375,7 +345,7 @@ impl std::fmt::Debug for FusionEngine {
             .field("device", &self.device.name)
             .field("parallelism", &self.parallelism)
             .field("cached_entries", &self.cache.as_ref().map(|c| c.len()))
-            .field("cached_spaces", &self.spaces.as_ref().map(|s| s.len()))
+            .field("cached_spaces", &self.spaces.len())
             .field("fallback", &self.fallback.as_ref().map(|b| b.name()))
             .finish()
     }
@@ -394,7 +364,7 @@ impl FusionEngine {
 
     /// The session's search parameters.
     pub fn params(&self) -> &SearchParams {
-        &self.tuner.params
+        &self.params
     }
 
     /// Session counters (cache hits/misses, graphs compiled, cache
@@ -403,8 +373,8 @@ impl FusionEngine {
         let mut stats = self.stats.lock().clone();
         stats.cache_persist_errors = self.cache.as_ref().map(|c| c.persist_errors()).unwrap_or(0);
         stats.space_builds = self.space_builds.load(Ordering::Relaxed);
-        stats.space_cache_hits = self.spaces.as_ref().map(|s| s.hits()).unwrap_or(0);
-        stats.space_evictions = self.spaces.as_ref().map(|s| s.evictions()).unwrap_or(0);
+        stats.space_cache_hits = self.spaces.hits();
+        stats.space_evictions = self.spaces.evictions();
         stats.tuning_cache_evictions = self.cache.as_ref().map(|c| c.evictions()).unwrap_or(0);
         stats
     }
@@ -650,7 +620,7 @@ impl FusionEngine {
             chain,
             transposed_inputs,
             &self.device,
-            &self.tuner.params,
+            &self.params,
             &self.policy,
         )
     }
@@ -673,25 +643,21 @@ impl FusionEngine {
         }
         let local = TuningClock::new();
         let space = self.space_for(chain);
-        let tuned = self
-            .tuner
-            .tune_in_space(chain, &self.device, &local, &space)?;
+        let tuned = tune_in_space(chain, &self.device, &self.params, &local, &space)?;
         // Static gate: the winner must survive symbolic verification
         // before it is cached or returned. A reject here is a lowering
         // bug surfacing as a structured error instead of a miscompile —
         // callers demote (stitched chains fall back to their plain twin
         // in `compile`) rather than serve the kernel.
-        if self.verify {
-            if let Err(e) = mcfuser_sim::verify::verify_program(&tuned.kernel.program) {
-                self.stats.lock().verify_rejects += 1;
-                return Err(TuneError::Verify {
-                    chain: chain.name.clone(),
-                    device: self.device.name.clone(),
-                    detail: e.to_string(),
-                });
-            }
-            self.stats.lock().programs_verified += 1;
+        if let Err(e) = mcfuser_sim::verify::verify_program(&tuned.kernel.program) {
+            self.stats.lock().verify_rejects += 1;
+            return Err(TuneError::Verify {
+                chain: chain.name.clone(),
+                device: self.device.name.clone(),
+                detail: e.to_string(),
+            });
         }
+        self.stats.lock().programs_verified += 1;
         // The local report is returned to the caller, which absorbs it
         // into the session clock in deterministic (input) order — never
         // here on a worker thread, where completion order would make the
@@ -706,20 +672,15 @@ impl FusionEngine {
 
     /// The candidate space for a chain — shared through the engine's
     /// [`SpaceCache`] (content-addressed, so every same-shaped chain and
-    /// every layout variant of one reuses a single Rule-4 scan), or
-    /// built fresh when space caching is disabled. Only reached on
-    /// tuning-cache misses: a schedule hit rehydrates without a space.
+    /// every layout variant of one reuses a single Rule-4 scan). Only
+    /// reached on tuning-cache misses: a schedule hit rehydrates without
+    /// a space.
     fn space_for(&self, chain: &ChainSpec) -> Arc<CandidateSpace> {
-        let build = || {
+        let fingerprint = space_fingerprint(chain, &self.device, &self.policy);
+        self.spaces.get_or_build(fingerprint, || {
             self.space_builds.fetch_add(1, Ordering::Relaxed);
             build_candidate_space(chain, &self.device, &self.policy)
-        };
-        match &self.spaces {
-            Some(cache) => {
-                cache.get_or_build(space_fingerprint(chain, &self.device, &self.policy), build)
-            }
-            None => Arc::new(build()),
-        }
+        })
     }
 
     /// Rebuild a [`TunedKernel`] from a cached schedule: parse the
@@ -733,11 +694,7 @@ impl FusionEngine {
             return None;
         }
         let candidate = Candidate::new(expr, entry.tiles.clone());
-        let opts = if self.tuner.params.dead_loop_elimination {
-            LoweringOptions::for_device(&self.device)
-        } else {
-            LoweringOptions::for_device(&self.device).without_dead_loop_elimination()
-        };
+        let opts = self.params.lowering_options(&self.device);
         let kernel = lower(chain, &candidate, &opts).ok()?;
         if kernel.smem_bytes > self.device.smem_per_block {
             return None;
@@ -745,14 +702,12 @@ impl FusionEngine {
         // Re-verify rehydrated programs: a stale or hand-edited cache
         // entry that re-lowers into something unsound is treated as a
         // miss (forcing a fresh, itself-verified tune), never served.
-        if self.verify {
-            if mcfuser_sim::verify::verify_program(&kernel.program).is_err() {
-                self.stats.lock().verify_rejects += 1;
-                return None;
-            }
-            self.stats.lock().programs_verified += 1;
+        if mcfuser_sim::verify::verify_program(&kernel.program).is_err() {
+            self.stats.lock().verify_rejects += 1;
+            return None;
         }
-        let profile = measure_noisy(&kernel.program, &self.device, self.tuner.params.seed);
+        self.stats.lock().programs_verified += 1;
+        let profile = measure_noisy(&kernel.program, &self.device, self.params.seed);
         Some(TunedKernel {
             chain: chain.clone(),
             candidate,

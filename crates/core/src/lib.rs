@@ -15,8 +15,9 @@
 //! * [`perf_model`] — the analytical performance model, Eqs. 2–5 (§IV-A);
 //! * [`search`] — the heuristic evolutionary search with automatic
 //!   convergence, Algorithm 1 (§IV-B);
-//! * [`tuner`] — the per-chain pipeline ([`McFuser`]) and structured
-//!   [`TuneError`];
+//! * [`tuner`] — the per-chain pipeline the engine runs (space policy →
+//!   [`build_candidate_space`] → Algorithm 1 → [`TunedKernel`]) and
+//!   structured [`TuneError`];
 //! * [`engine`] — the [`FusionEngine`] session API: one configured
 //!   object for tuning and end-to-end graph compilation with MBCI
 //!   partitioning and fallback backends (§V-B);
@@ -106,6 +107,4 @@ pub use scheduler::BatchPolicy;
 pub use search::{heuristic_search, CandidateRef, MeasuredSet, SearchOutcome, SearchParams};
 pub use session::{DecodeError, DecodeServing, DecodeSession, DecodeSpec};
 pub use space::{space_fingerprint, CandidateSpace, SearchSpace, SpaceCache, SPACE_CACHE_CAPACITY};
-pub use tuner::{
-    build_candidate_space, McFuser, Rule4Rejection, SpacePolicy, TuneError, TunedKernel,
-};
+pub use tuner::{build_candidate_space, Rule4Rejection, SpacePolicy, TuneError, TunedKernel};

@@ -86,6 +86,19 @@ impl SearchParams {
             ..Default::default()
         }
     }
+
+    /// How candidates are lowered under these parameters. The search
+    /// lowers every measured candidate with these options and the
+    /// engine re-lowers cached schedules with them, so a rehydrated
+    /// kernel is exactly the one the search measured.
+    pub fn lowering_options(&self, dev: &DeviceSpec) -> LoweringOptions {
+        let opts = LoweringOptions::for_device(dev);
+        if self.dead_loop_elimination {
+            opts
+        } else {
+            opts.without_dead_loop_elimination()
+        }
+    }
 }
 
 /// How the measurement cache addresses a candidate.
@@ -295,11 +308,7 @@ pub fn heuristic_search(
     }
     let cost = CostProfile::triton();
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let lower_opts = if params.dead_loop_elimination {
-        LoweringOptions::for_device(dev)
-    } else {
-        LoweringOptions::for_device(dev).without_dead_loop_elimination()
-    };
+    let lower_opts = params.lowering_options(dev);
     let sample_idx = |rng: &mut StdRng| -> Member {
         let i = rng.gen_range(0..space.len());
         (CandidateRef::Indexed(i), space.candidate(i))

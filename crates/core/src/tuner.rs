@@ -1,10 +1,10 @@
-//! The MCFuser tuner — the user-facing entry point for one MBCI chain.
-//!
-//! `McFuser::tune` runs the full §III–§IV pipeline: generate the search
-//! space, prune it with Rules 1–4, explore with Algorithm 1, and return
+//! The per-chain tuning pipeline of §III–§IV: build the search space a
+//! [`SpacePolicy`] admits, prune it with Rules 1–4
+//! ([`build_candidate_space`]), explore it with Algorithm 1, and return
 //! the winning fused kernel together with the pruning waterfall and the
 //! virtual tuning-time report (the quantities behind Figs. 7–11 and
-//! Table IV).
+//! Table IV). [`FusionEngine`](crate::FusionEngine) is the one entry
+//! point that runs it; failures are structured [`TuneError`]s.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,7 @@ use mcfuser_sim::{DeviceSpec, KernelProfile, TuningClock, TuningReport};
 use mcfuser_tile::{Candidate, LoweredKernel};
 
 use crate::prune::PruneStats;
-use crate::search::{heuristic_search, SearchOutcome, SearchParams};
+use crate::search::{heuristic_search, SearchParams};
 use crate::space::{CandidateSpace, SearchSpace};
 
 /// Why Rule 4 emptied a search space: even the smallest tile
@@ -247,118 +247,71 @@ pub struct TunedKernel {
     pub measured: usize,
 }
 
-/// The MCFuser tuner.
-#[derive(Debug, Clone, Default)]
-pub struct McFuser {
-    /// Algorithm 1 parameters.
-    pub params: SearchParams,
-}
-
-impl McFuser {
-    /// Tuner with default parameters (the paper's `n = 8`).
-    pub fn new() -> Self {
-        Self::default()
+/// Tune one chain over an already-built candidate space — the step
+/// [`FusionEngine`](crate::FusionEngine) runs on every tuning-cache
+/// miss, whether its [`SpaceCache`](crate::space::SpaceCache) built the
+/// space for this chain or shares it with a same-shaped one. Sharing is
+/// sound because the search reads the space immutably.
+///
+/// # Panics
+/// If the space was built for a chain whose content — everything but
+/// the name, see [`space_fingerprint`](crate::space::space_fingerprint)
+/// — differs from `chain`: a mismatched space would decode tile vectors
+/// of the wrong arity or extents and tune a kernel for the wrong shape.
+pub(crate) fn tune_in_space(
+    chain: &ChainSpec,
+    dev: &DeviceSpec,
+    params: &SearchParams,
+    clock: &TuningClock,
+    space: &CandidateSpace,
+) -> Result<TunedKernel, TuneError> {
+    let same_content = ChainSpec {
+        name: chain.name.clone(),
+        ..space.chain.clone()
+    } == *chain;
+    assert!(
+        same_content,
+        "tune_in_space: space was built for chain '{}', whose content \
+         differs from '{}'",
+        space.chain.name, chain.name,
+    );
+    if space.is_empty() {
+        return Err(TuneError::empty_space(
+            chain,
+            dev,
+            empty_axis_context(chain, &space.tile_domains),
+            rule4_rejection_context(space, dev),
+        ));
     }
-
-    /// Tune one chain for a device.
-    pub fn tune(&self, chain: &ChainSpec, dev: &DeviceSpec) -> Result<TunedKernel, TuneError> {
-        let clock = TuningClock::new();
-        self.tune_with_clock(chain, dev, &clock)
-    }
-
-    /// Tune, accumulating costs into an external clock (used by the
-    /// engine/compiler layer which tunes many sub-graphs).
-    pub fn tune_with_clock(
-        &self,
-        chain: &ChainSpec,
-        dev: &DeviceSpec,
-        clock: &TuningClock,
-    ) -> Result<TunedKernel, TuneError> {
-        self.tune_with_policy(chain, dev, clock, &SpacePolicy::default())
-    }
-
-    /// Tune over the space a [`SpacePolicy`] admits (the engine's
-    /// configurable pipeline; also drives the ablation variants).
-    pub fn tune_with_policy(
-        &self,
-        chain: &ChainSpec,
-        dev: &DeviceSpec,
-        clock: &TuningClock,
-        policy: &SpacePolicy,
-    ) -> Result<TunedKernel, TuneError> {
-        let pruned = build_candidate_space(chain, dev, policy);
-        self.tune_in_space(chain, dev, clock, &pruned)
-    }
-
-    /// Tune over an already-built candidate space. This is the batched
-    /// multi-chain path: the engine's
-    /// [`SpaceCache`](crate::space::SpaceCache) builds the space (one
-    /// Rule-4 scan) for the first chain of a shape and every same-shaped
-    /// chain tunes in it via a shared `Arc` — results are identical to a
-    /// per-chain build because the search reads the space immutably (its
-    /// interior decode cache only memoizes, never changes decoding).
-    ///
-    /// The space must have been built for a chain whose *content*
-    /// (everything but the name) matches `chain` — see
-    /// [`space_fingerprint`](crate::space::space_fingerprint).
-    ///
-    /// # Panics
-    /// If the space's chain content differs from `chain` (a mismatched
-    /// space would decode tile vectors of the wrong arity or extents
-    /// and tune a kernel for the wrong shape).
-    pub fn tune_in_space(
-        &self,
-        chain: &ChainSpec,
-        dev: &DeviceSpec,
-        clock: &TuningClock,
-        pruned: &CandidateSpace,
-    ) -> Result<TunedKernel, TuneError> {
-        let built_for = &pruned.chain;
-        assert!(
-            chain.batch == built_for.batch
-                && chain.m == built_for.m
-                && chain.dims == built_for.dims
-                && chain.epilogues == built_for.epilogues
-                && chain.biases == built_for.biases
-                && chain.dtype == built_for.dtype,
-            "tune_in_space: space was built for chain '{}', whose content \
-             differs from '{}'",
-            built_for.name,
-            chain.name,
-        );
-        if pruned.is_empty() {
-            return Err(TuneError::empty_space(
-                chain,
-                dev,
-                empty_axis_context(chain, &pruned.tile_domains),
-                rule4_rejection_context(pruned, dev),
-            ));
-        }
-        let outcome: SearchOutcome = heuristic_search(chain, dev, pruned, &self.params, clock)
-            .ok_or_else(|| TuneError::no_viable(chain, dev))?;
-        Ok(TunedKernel {
-            chain: chain.clone(),
-            candidate: outcome.best,
-            kernel: outcome.kernel,
-            profile: outcome.profile,
-            tuning: clock.report(),
-            prune_stats: pruned.stats.clone(),
-            rounds: outcome.rounds,
-            measured: outcome.measured,
-        })
-    }
+    let outcome = heuristic_search(chain, dev, space, params, clock)
+        .ok_or_else(|| TuneError::no_viable(chain, dev))?;
+    Ok(TunedKernel {
+        chain: chain.clone(),
+        candidate: outcome.best,
+        kernel: outcome.kernel,
+        profile: outcome.profile,
+        tuning: clock.report(),
+        prune_stats: space.stats.clone(),
+        rounds: outcome.rounds,
+        measured: outcome.measured,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FusionEngine;
     use mcfuser_sim::{execute, TensorStorage};
+
+    fn tune(chain: &ChainSpec, dev: &DeviceSpec) -> Result<TunedKernel, TuneError> {
+        FusionEngine::builder(dev.clone()).build().tune(chain)
+    }
 
     #[test]
     fn tuned_gemm_chain_is_numerically_correct() {
         let chain = ChainSpec::gemm_chain("g", 1, 128, 96, 64, 80);
         let dev = DeviceSpec::a100();
-        let tk = McFuser::new().tune(&chain, &dev).unwrap();
+        let tk = tune(&chain, &dev).unwrap();
         let inputs = chain.random_inputs(1);
         let mut st = TensorStorage::for_program(&tk.kernel.program);
         for (i, t) in inputs.iter().enumerate() {
@@ -374,7 +327,7 @@ mod tests {
     fn tuned_attention_is_numerically_correct() {
         let chain = ChainSpec::attention("s", 2, 128, 128, 32, 32);
         let dev = DeviceSpec::a100();
-        let tk = McFuser::new().tune(&chain, &dev).unwrap();
+        let tk = tune(&chain, &dev).unwrap();
         let inputs = chain.random_inputs(2);
         let mut st = TensorStorage::for_program(&tk.kernel.program);
         for (i, t) in inputs.iter().enumerate() {
@@ -389,7 +342,7 @@ mod tests {
     #[test]
     fn tuning_report_shows_analytical_model_benefits() {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 128, 128);
-        let tk = McFuser::new().tune(&chain, &DeviceSpec::a100()).unwrap();
+        let tk = tune(&chain, &DeviceSpec::a100()).unwrap();
         // Far fewer measurements than estimates — the paper's core claim.
         assert!(tk.tuning.estimates > 10 * tk.tuning.measurements);
         assert_eq!(tk.tuning.train_rounds, 0);
@@ -434,7 +387,7 @@ mod tests {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
         let mut dev = DeviceSpec::a100();
         dev.smem_per_block = 256; // 256 B: nothing fits.
-        let err = McFuser::new().tune(&chain, &dev).unwrap_err();
+        let err = tune(&chain, &dev).unwrap_err();
         let TuneError::EmptySearchSpace { axis, rule4, .. } = &err else {
             panic!("expected EmptySearchSpace, got {err:?}");
         };
@@ -485,7 +438,43 @@ mod tests {
     #[test]
     fn prune_stats_propagated() {
         let chain = ChainSpec::gemm_chain("g", 1, 512, 256, 64, 64);
-        let tk = McFuser::new().tune(&chain, &DeviceSpec::a100()).unwrap();
+        let tk = tune(&chain, &DeviceSpec::a100()).unwrap();
         assert!(tk.prune_stats.original > tk.prune_stats.after_rule4);
+    }
+
+    #[test]
+    #[should_panic(expected = "content differs")]
+    fn stitched_chain_rejects_its_unstitched_twins_space() {
+        // A stitched FFN chain and its unstitched twin agree on every
+        // shape field; only the stitched prologue and epilogue differ.
+        // The space-content check must still tell them apart.
+        use mcfuser_ir::{partition, GraphBuilder};
+        use mcfuser_sim::DType;
+        let mut gb = GraphBuilder::new("blk", DType::F16);
+        let proj = gb.input("proj", vec![128, 64]);
+        let x = gb.input("x", vec![128, 64]);
+        let res1 = gb.add("res1", proj, x);
+        let ln1 = gb.layer_norm_affine("ln1", res1);
+        let up = gb.linear("up", ln1, 128, true);
+        let act = gb.gelu("act", up);
+        let down = gb.linear("down", act, 64, true);
+        let res2 = gb.add("res2", down, ln1);
+        let ln2 = gb.layer_norm_affine("ln2", res2);
+        let graph = gb.finish(vec![ln2]);
+        let dev = DeviceSpec::a100();
+        let part = partition(&graph, &dev);
+        let stitched = &part.chains[0].chain;
+        let twin = &part.chains[0].unstitched.as_deref().expect("a twin").chain;
+        assert!(stitched.prologue.is_some() && stitched.stitch_epilogue.is_some());
+        let unstitched = ChainSpec {
+            name: twin.name.clone(),
+            prologue: None,
+            stitch_epilogue: None,
+            ..stitched.clone()
+        };
+        assert_eq!(&unstitched, twin, "the twin differs only in stitching");
+        let twin_space = build_candidate_space(twin, &dev, &SpacePolicy::default());
+        let params = SearchParams::default();
+        let _ = tune_in_space(stitched, &dev, &params, &TuningClock::new(), &twin_space);
     }
 }

@@ -5,8 +5,9 @@
 //! * **soundness of the analyses** — every tuned winner the search
 //!   produces, across every chain family the compiler can lower (plain
 //!   GEMM chains, attention, masked attention, stitched BERT chains,
-//!   decode-shaped GEMV), passes the full verifier. The engines here
-//!   disable the built-in gate (`.verify(false)`) so the test exercises
+//!   decode-shaped GEMV), passes the full verifier. The winners here
+//!   come from a raw `heuristic_search` over `build_candidate_space`,
+//!   outside the engine's built-in gate, so the test exercises
 //!   `verify_program` directly rather than asserting the gate let the
 //!   winner through.
 //! * **sensitivity** — deliberately corrupted programs (a shifted tile
@@ -16,18 +17,23 @@
 
 use proptest::prelude::*;
 
+use mcfuser::core::{build_candidate_space, heuristic_search, SearchOutcome};
 use mcfuser::prelude::*;
 use mcfuser::sim::verify::{verify_program, VerifyError};
-use mcfuser::sim::{BlockStmt, BufferRole, TileProgram, VarRef};
+use mcfuser::sim::{BlockStmt, BufferRole, TileProgram, TuningClock, VarRef};
 use mcfuser::workloads::{
     bert_graph, decode_attention_chain, decode_ffn_chain, masked_attention_workload, mlp4_chain,
     BertConfig, DecoderConfig,
 };
 
-fn unverified_engine() -> FusionEngine {
-    FusionEngine::builder(DeviceSpec::a100())
-        .verify(false)
-        .build()
+/// The search winner for a chain on the A100, with default parameters
+/// and space policy, before any verifier gate has seen it.
+fn ungated_winner(chain: &ChainSpec) -> SearchOutcome {
+    let device = DeviceSpec::a100();
+    let space = build_candidate_space(chain, &device, &SpacePolicy::default());
+    let params = SearchParams::default();
+    heuristic_search(chain, &device, &space, &params, &TuningClock::new())
+        .unwrap_or_else(|| panic!("no viable candidate for '{}'", chain.name))
 }
 
 /// The same random 2-GEMM chains as `proptest_properties.rs`.
@@ -49,8 +55,8 @@ proptest! {
     /// verifiable program: in-bounds, initialized, race-free.
     #[test]
     fn tuned_winners_pass_verifier(chain in chain_strategy()) {
-        let tuned = unverified_engine().tune(&chain).unwrap();
-        let report = verify_program(&tuned.kernel.program).unwrap();
+        let winner = ungated_winner(&chain);
+        let report = verify_program(&winner.kernel.program).unwrap();
         prop_assert!(report.stores >= 1);
         prop_assert!(report.accesses >= 3);
     }
@@ -58,9 +64,9 @@ proptest! {
 
 /// Winners across the named chain families — attention, masked
 /// attention, stitched BERT layer chains, and the two decode-shaped
-/// GEMV chains — all verify, and the gate-enabled engine produces the
-/// *same* winners (the gate never changes tuning results, it only
-/// refuses unsound ones).
+/// GEMV chains — all verify, and the engine, whose gate is always on,
+/// produces the *same* winners (the gate never changes tuning results,
+/// it only refuses unsound ones).
 #[test]
 fn family_winners_pass_verifier_and_gate_is_transparent() {
     let mut chains: Vec<ChainSpec> = vec![
@@ -88,24 +94,26 @@ fn family_winners_pass_verifier_and_gate_is_transparent() {
             .map(|fc| fc.chain.clone()),
     );
 
-    let plain = unverified_engine();
     let gated = FusionEngine::builder(device).build();
     for chain in &chains {
-        let tuned = plain.tune(chain).unwrap();
-        let report = verify_program(&tuned.kernel.program)
+        let winner = ungated_winner(chain);
+        let report = verify_program(&winner.kernel.program)
             .unwrap_or_else(|e| panic!("winner for '{}' failed verification: {e}", chain.name));
         assert!(report.stores >= 1, "'{}' produced no stores", chain.name);
         let gated_tuned = gated.tune(chain).unwrap();
         assert_eq!(
-            gated_tuned.candidate, tuned.candidate,
+            gated_tuned.candidate, winner.best,
             "verify gate changed the winner for '{}'",
             chain.name
         );
+        assert_eq!(
+            gated_tuned.profile.time.to_bits(),
+            winner.best_time.to_bits(),
+            "verify gate changed the winning time for '{}'",
+            chain.name
+        );
     }
-    // With the gate off, neither counter moves; with it on, every tune
-    // (fresh winner) was verified and none were rejected.
-    assert_eq!(plain.stats().programs_verified, 0);
-    assert_eq!(plain.stats().verify_rejects, 0);
+    // Every tune (fresh winner) was verified and none were rejected.
     assert_eq!(gated.stats().programs_verified, chains.len() as u64);
     assert_eq!(gated.stats().verify_rejects, 0);
 }
@@ -114,8 +122,7 @@ fn family_winners_pass_verifier_and_gate_is_transparent() {
 /// store to the program's output buffer (for targeted corruption).
 fn victim_program() -> TileProgram {
     let chain = ChainSpec::gemm_chain("victim", 1, 256, 128, 64, 64);
-    let tuned = unverified_engine().tune(&chain).unwrap();
-    let p = tuned.kernel.program.clone();
+    let p = ungated_winner(&chain).kernel.program;
     assert!(
         p.grid.len() >= 2 && p.grid[1] >= 2,
         "victim must launch multiple blocks along m (grid {:?})",
