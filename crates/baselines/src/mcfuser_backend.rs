@@ -52,14 +52,6 @@ impl McFuserBackend {
         Self::default()
     }
 
-    /// Backend with explicit search parameters.
-    pub fn with_params(params: SearchParams) -> Self {
-        McFuserBackend {
-            params,
-            ..Self::default()
-        }
-    }
-
     /// The serving runtime shared by every graph this backend compiles:
     /// hand it to request threads and call
     /// [`ModelRuntime::infer`] (or [`McFuserBackend::infer`]) with the

@@ -193,8 +193,9 @@ fn main() {
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())
         .parallelism(0)
-        .exec_backend(backend)
         .build();
+    // Sessions pin the selected backend through their `RunOptions`.
+    let opts = RunOptions::seeded(SEED).with_backend(backend);
     let cfg = DecoderConfig::gpt_mini();
     assert!(cfg.layers >= 4, "smoke decoder must be at least 4 layers");
 
@@ -234,7 +235,7 @@ fn main() {
     // ---- Width-1 serial decode ----------------------------------------
     let (prompt, rows) = token_rows(&cfg, 1);
     let decode_start = Instant::now();
-    let mut session = serial.open(RunOptions::seeded(SEED));
+    let mut session = serial.open(opts);
     session.prefill(&prompt).expect("prefill");
     let mut serial_logits = Vec::with_capacity(rows.len());
     for row in &rows {
@@ -266,7 +267,7 @@ fn main() {
                     // Lane 0 replays the serial token stream; other lanes
                     // decode their own streams so scatter bugs can't hide.
                     let (prompt, rows) = token_rows(&cfg, 1 + 9 * lane as u64);
-                    let mut session = serving.open(RunOptions::seeded(SEED));
+                    let mut session = serving.open(opts);
                     session.prefill(&prompt).expect("prefill");
                     let mut logits = Vec::with_capacity(rows.len());
                     for row in &rows {

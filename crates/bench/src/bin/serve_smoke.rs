@@ -246,7 +246,6 @@ fn main() {
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())
         .parallelism(0)
-        .exec_backend(backend)
         .build();
 
     // Model 1: a 2-layer mini BERT — its identical layers force
@@ -298,7 +297,11 @@ fn main() {
         // Identical chains (BERT's two layers) tune once and are fanned
         // back out flagged as reuse.
         reused_chains += model.chains.iter().filter(|c| c.cache_hit).count();
-        let plan = Arc::new(model.plan(graph).expect("plan freezes"));
+        let plan = model
+            .plan(graph)
+            .expect("plan freezes")
+            .with_backend(backend);
+        let plan = Arc::new(plan);
         // The reference runtime serves an interpreter-pinned twin of
         // each plan: its outputs are the oracle every serial/batched
         // (vectorized by default) result is bit-compared against.

@@ -28,6 +28,7 @@ use rustc_hash::FxHashMap;
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::{DeviceSpec, TuningReport};
 
+use crate::lru::Lru;
 use crate::prune::PruneStats;
 use crate::search::SearchParams;
 use crate::tuner::{SpacePolicy, TunedKernel};
@@ -91,14 +92,27 @@ impl CacheKey {
         while transposed_inputs.last() == Some(&false) {
             transposed_inputs.pop();
         }
+        // Exhaustive on purpose: a new `ChainSpec` field fails to compile
+        // here until the key accounts for it.
+        let ChainSpec {
+            name: _,
+            batch,
+            m,
+            dims,
+            epilogues,
+            biases,
+            dtype,
+            prologue,
+            stitch_epilogue,
+        } = chain;
         CacheKey {
-            batch: chain.batch,
-            m: chain.m,
-            dims: chain.dims.clone(),
-            epilogues: chain.epilogues.iter().map(|e| format!("{e:?}")).collect(),
-            biases: chain.biases.clone(),
-            dtype: format!("{:?}", chain.dtype),
-            stitch: format!("{:?}|{:?}", chain.prologue, chain.stitch_epilogue),
+            batch: *batch,
+            m: *m,
+            dims: dims.clone(),
+            epilogues: epilogues.iter().map(|e| format!("{e:?}")).collect(),
+            biases: biases.clone(),
+            dtype: format!("{dtype:?}"),
+            stitch: format!("{prologue:?}|{stitch_epilogue:?}"),
             transposed_inputs,
             device: device_fingerprint(dev),
             config: format!(
@@ -284,37 +298,7 @@ pub const MEMORY_CACHE_CAPACITY: usize = 512;
 /// sharing the engine). LRU-bounded — see [`MEMORY_CACHE_CAPACITY`].
 #[derive(Debug)]
 pub struct MemoryCache {
-    entries: Mutex<LruEntries>,
-    capacity: usize,
-    evicted: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct LruEntries {
-    map: FxHashMap<String, (CachedTuning, u64)>,
-    tick: u64,
-}
-
-impl LruEntries {
-    /// Touch-and-insert; returns the evicted key count (0 or 1).
-    fn insert_bounded(&mut self, key: String, entry: CachedTuning, capacity: usize) -> u64 {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(key.clone(), (entry, tick));
-        if self.map.len() > capacity {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = victim {
-                self.map.remove(&k);
-                return 1;
-            }
-        }
-        0
-    }
+    entries: Mutex<Lru<String, CachedTuning>>,
 }
 
 impl Default for MemoryCache {
@@ -332,40 +316,26 @@ impl MemoryCache {
     /// Empty cache retaining at most `capacity` schedules (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         MemoryCache {
-            entries: Mutex::new(LruEntries::default()),
-            capacity: capacity.max(1),
-            evicted: AtomicU64::new(0),
+            entries: Mutex::new(Lru::new(capacity, |_| false)),
         }
     }
 }
 
 impl TuningCache for MemoryCache {
     fn get(&self, key: &CacheKey) -> Option<CachedTuning> {
-        let mut inner = self.entries.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(&key.canonical()).map(|slot| {
-            slot.1 = tick;
-            slot.0.clone()
-        })
+        self.entries.lock().get(&key.canonical())
     }
 
     fn put(&self, key: &CacheKey, entry: CachedTuning) {
-        let evicted = self
-            .entries
-            .lock()
-            .insert_bounded(key.canonical(), entry, self.capacity);
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
+        self.entries.lock().insert(key.canonical(), entry);
     }
 
     fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        self.entries.lock().len()
     }
 
     fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.entries.lock().evictions()
     }
 }
 
@@ -584,6 +554,52 @@ mod tests {
         let a = ChainSpec::attention("s", 2, 128, 128, 64, 64);
         let b = ChainSpec::masked_attention("s", 2, 128, 128, 64, 64);
         assert_ne!(key_for(&a).canonical(), key_for(&b).canonical());
+    }
+
+    #[test]
+    fn canonical_forms_stay_byte_identical() {
+        // Existing disk caches are keyed by these strings: a change to
+        // either form silently turns every stored schedule into a miss.
+        let mut chain = ChainSpec::gemm_chain("g", 1, 512, 64, 256, 256);
+        chain.biases = vec![true, false];
+        chain.prologue = Some(mcfuser_ir::PrologueSpec {
+            residual: true,
+            affine: true,
+            a_half: false,
+            eps: 1e-5,
+        });
+        chain.stitch_epilogue = Some(mcfuser_ir::EpilogueStitch {
+            residual: mcfuser_ir::ResidualSource::PrologueOut,
+            layer_norm: true,
+            affine: true,
+            eps: 1e-5,
+        });
+        let dev = DeviceSpec::a100();
+        let policy = SpacePolicy::default();
+        let key = CacheKey::new(
+            &chain,
+            &[false, true],
+            &dev,
+            &SearchParams::default(),
+            &policy,
+        );
+        let stitch = "Some(PrologueSpec { residual: true, affine: true, a_half: false, eps: 1e-5 })\
+                      |Some(EpilogueStitch { residual: PrologueOut, layer_norm: true, affine: true, eps: 1e-5 })";
+        assert_eq!(
+            key.canonical(),
+            format!(
+                "b1|m512|d[256, 64, 256]|e[\"None\", \"None\"]|bi[true, false]|tF16|st[{stitch}]\
+                 |x[false, true]|dev[A100-PCIE-40GB#13b591b0508ee020]\
+                 |cfg[pop128top8eps0.01maxr12minr3seed24301modeltruetruetruedletruerrfalsedeepfalser4true]"
+            )
+        );
+        assert_eq!(
+            crate::space::space_fingerprint(&chain, &dev, &policy),
+            "b1|m512|d[256, 64, 256]|e[None, None]|bi[true, false]|tF16\
+             |stSome(PrologueSpec { residual: true, affine: true, a_half: false, eps: 1e-5 })\
+             Some(EpilogueStitch { residual: PrologueOut, layer_norm: true, affine: true, eps: 1e-5 })\
+             |deepfalse|smemSome(167936)"
+        );
     }
 
     #[test]

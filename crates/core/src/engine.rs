@@ -49,7 +49,7 @@ use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use mcfuser_ir::{partition_with, ChainSpec, Graph, NodeId, PartitionOptions};
-use mcfuser_sim::{measure_noisy, DeviceSpec, ExecBackend, TuningClock, TuningReport};
+use mcfuser_sim::{measure_noisy, DeviceSpec, TuningClock, TuningReport};
 use mcfuser_tile::{lower, Candidate, TilingExpr};
 
 use crate::cache::{CacheKey, CachedTuning, JsonDiskCache, MemoryCache, TuningCache};
@@ -112,9 +112,6 @@ pub struct CompiledModel {
     /// returned to the fallback remainder. Outputs are unchanged by a
     /// demotion — only the step structure and traffic differ.
     pub stitch_demotions: u64,
-    /// Execution backend stamped into plans built from this model
-    /// (engine-level default; see [`EngineBuilder::exec_backend`]).
-    pub exec_backend: ExecBackend,
 }
 
 /// Structural fingerprint of a graph (nodes, shapes, ops, outputs,
@@ -195,7 +192,6 @@ pub struct EngineBuilder {
     custom_cache: Option<Box<dyn TuningCache>>,
     parallelism: usize,
     stitching: bool,
-    exec_backend: ExecBackend,
 }
 
 impl EngineBuilder {
@@ -210,18 +206,7 @@ impl EngineBuilder {
             custom_cache: None,
             parallelism: 1,
             stitching: true,
-            exec_backend: ExecBackend::default(),
         }
-    }
-
-    /// Which execution backend plans compiled by this engine run fused
-    /// kernels on (default: [`ExecBackend::Vectorized`]). Pin
-    /// [`ExecBackend::Interpreter`] for oracle sessions; individual
-    /// requests can still override via
-    /// [`RunOptions::with_backend`](crate::RunOptions::with_backend).
-    pub fn exec_backend(mut self, backend: ExecBackend) -> Self {
-        self.exec_backend = backend;
-        self
     }
 
     /// Algorithm 1 parameters (population, top-n, convergence ε, …).
@@ -241,12 +226,6 @@ impl EngineBuilder {
     /// [`FusionEngine::compile`]; chain-only sessions can omit it.
     pub fn fallback(mut self, fallback: impl OpCostModel + Send + 'static) -> Self {
         self.fallback = Some(Arc::new(fallback));
-        self
-    }
-
-    /// Like [`EngineBuilder::fallback`], for an already-shared backend.
-    pub fn fallback_arc(mut self, fallback: Arc<dyn OpCostModel + Send + Sync>) -> Self {
-        self.fallback = Some(fallback);
         self
     }
 
@@ -308,7 +287,6 @@ impl EngineBuilder {
             parallelism: self.parallelism.max(1),
             clock: TuningClock::new(),
             stats: Mutex::new(EngineStats::default()),
-            exec_backend: self.exec_backend,
         }
     }
 }
@@ -334,9 +312,6 @@ pub struct FusionEngine {
     parallelism: usize,
     clock: TuningClock,
     stats: Mutex<EngineStats>,
-    /// Backend stamped into every [`CompiledModel`] / [`ExecutablePlan`]
-    /// this engine produces.
-    exec_backend: ExecBackend,
 }
 
 impl std::fmt::Debug for FusionEngine {
@@ -599,7 +574,6 @@ impl FusionEngine {
             graph_fingerprint: graph_fingerprint(graph),
             device: self.device.clone(),
             stitch_demotions,
-            exec_backend: self.exec_backend,
         })
     }
 

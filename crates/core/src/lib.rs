@@ -71,6 +71,7 @@ pub mod batch;
 pub mod cache;
 pub mod compiler;
 pub mod engine;
+mod lru;
 pub mod perf_model;
 pub mod plan;
 pub mod prune;

@@ -298,17 +298,6 @@ impl InputSet {
         );
     }
 
-    /// Bind a tensor to an input by graph node id.
-    pub fn insert_node(&mut self, node: NodeId, tensor: HostTensor) {
-        self.by_node.insert(
-            node,
-            TaggedTensor {
-                tensor,
-                dtype: None,
-            },
-        );
-    }
-
     /// Build a set from a `NodeId → tensor` map (the pre-plan calling
     /// convention — handy when the caller already addresses graph nodes
     /// by id, e.g. code migrating from the removed
@@ -608,8 +597,10 @@ impl ExecutablePlan {
         &self.name
     }
 
-    /// The execution backend fused kernels run on by default
-    /// (overridable per request via [`RunOptions::with_backend`]).
+    /// The execution backend fused kernels run on by default:
+    /// [`ExecBackend::default`] unless pinned with
+    /// [`ExecutablePlan::with_backend`], and overridable per request via
+    /// [`RunOptions::with_backend`].
     pub fn backend(&self) -> ExecBackend {
         self.backend
     }
@@ -1051,7 +1042,7 @@ impl CompiledModel {
             bytes_per_request,
             graph: graph.clone(),
             device: self.device.clone(),
-            backend: self.exec_backend,
+            backend: ExecBackend::default(),
         })
     }
 }

@@ -59,6 +59,7 @@ use mcfuser_sim::BufferArena;
 
 use crate::batch::{run_steps, BatchedPlan, WidenedPlan};
 use crate::cache::TuningCache;
+use crate::lru::Lru;
 use crate::plan::{ExecError, ExecutablePlan, InputSet, Outputs, RunOptions, WeightStore};
 use crate::scheduler::Scheduler;
 
@@ -273,22 +274,15 @@ impl std::fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
-struct WeightCacheInner {
-    map: FxHashMap<(String, u64), (Arc<WeightStore>, u64)>,
-    tick: u64,
-}
-
 /// LRU-bounded cache of per-`(model, seed)` [`WeightStore`]s: weight
 /// tensors are derived once per plan/seed pair and shared across every
 /// request (serial and batched) instead of re-materialized per request.
 /// Hit/miss counters are `Arc`-shared with the stores themselves, so
 /// evicting a store never loses its counts.
 pub(crate) struct WeightCache {
-    inner: Mutex<WeightCacheInner>,
-    capacity: usize,
+    stores: Mutex<Lru<(String, u64), Arc<WeightStore>>>,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
-    evictions: AtomicU64,
 }
 
 impl Default for WeightCache {
@@ -300,14 +294,9 @@ impl Default for WeightCache {
 impl WeightCache {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         WeightCache {
-            inner: Mutex::new(WeightCacheInner {
-                map: FxHashMap::default(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
+            stores: Mutex::new(Lru::new(capacity, |_| false)),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -315,52 +304,33 @@ impl WeightCache {
     /// store refreshes its LRU position, and inserting past capacity
     /// evicts the least-recently-used other entry.
     pub(crate) fn store(&self, model: &str, seed: u64) -> Arc<WeightStore> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((store, last)) = inner.map.get_mut(&(model.to_string(), seed)) {
-            *last = tick;
-            return store.clone();
-        }
-        let store = Arc::new(WeightStore::with_counters(
-            self.hits.clone(),
-            self.misses.clone(),
-        ));
-        inner
-            .map
-            .insert((model.to_string(), seed), (store.clone(), tick));
-        if inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(_, (_, t))| *t != tick)
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        store
+        self.stores
+            .lock()
+            .get_or_insert_with((model.to_string(), seed), || {
+                Arc::new(WeightStore::with_counters(
+                    self.hits.clone(),
+                    self.misses.clone(),
+                ))
+            })
     }
 
     /// Drop every seed's store of `model` (the plan changed — its
     /// weights no longer describe what will be served).
     fn invalidate_model(&self, model: &str) {
-        self.inner.lock().map.retain(|(m, _), _| m != model);
+        self.stores.lock().retain(|(m, _)| m != model);
     }
 
     fn counters(&self) -> (u64, u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
+            self.stores.lock().evictions(),
         )
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.stores.lock().len()
     }
 }
 

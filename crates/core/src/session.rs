@@ -68,6 +68,14 @@ impl DecodeSpec {
     fn panel_len(&self, t_b: u64) -> usize {
         (self.kv_heads * t_b * self.head_dim()) as usize
     }
+
+    fn bad_input(&self, input: &'static str, x: &HostTensor) -> DecodeError {
+        DecodeError::BadInput {
+            input,
+            shape: x.shape.clone(),
+            hidden: self.hidden,
+        }
+    }
 }
 
 /// Session-level failures, on top of the runtime's [`ExecError`].
@@ -88,6 +96,16 @@ pub enum DecodeError {
     },
     /// A step was taken before [`DecodeSession::prefill`].
     NotPrefilled,
+    /// A prompt is not `[t, hidden]` with `t ≥ 1`, or a step input is
+    /// not one row of `hidden` values.
+    BadInput {
+        /// The call that rejected it: `"prompt"` or `"step"`.
+        input: &'static str,
+        /// Shape of the rejected tensor.
+        shape: Vec<u64>,
+        /// The decoder's hidden width.
+        hidden: u64,
+    },
     /// The underlying plan execution failed.
     Exec(ExecError),
 }
@@ -106,6 +124,15 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "no bucket can hold position {pos}")
             }
             DecodeError::NotPrefilled => write!(f, "step() before prefill()"),
+            DecodeError::BadInput {
+                input,
+                shape,
+                hidden,
+            } => write!(
+                f,
+                "{input} tensor of shape {shape:?} does not fit hidden width {hidden} \
+                 (prompts are [t >= 1, {hidden}], steps one row of {hidden} values)"
+            ),
             DecodeError::Exec(e) => write!(f, "decode step failed: {e}"),
         }
     }
@@ -269,10 +296,10 @@ impl DecodeSession {
     /// independent of the padding.
     pub fn prefill(&mut self, x: &HostTensor) -> Result<HostTensor, DecodeError> {
         let spec = self.serving.spec.clone();
-        assert_eq!(x.shape.len(), 2, "prompt must be [t, hidden]");
-        assert_eq!(x.shape[1], spec.hidden, "prompt width must match hidden");
+        if x.shape.len() != 2 || x.shape[1] != spec.hidden || x.shape[0] == 0 {
+            return Err(spec.bad_input("prompt", x));
+        }
         let prompt = x.shape[0];
-        assert!(prompt > 0, "empty prompt");
         let bucket = self
             .serving
             .bucket_for(prompt)
@@ -330,11 +357,9 @@ impl DecodeSession {
     pub fn step(&mut self, x: &HostTensor) -> Result<HostTensor, DecodeError> {
         let bucket = self.bucket.ok_or(DecodeError::NotPrefilled)?;
         let spec = self.serving.spec.clone();
-        assert_eq!(
-            x.data.len(),
-            spec.hidden as usize,
-            "step input must be one [1, hidden] row"
-        );
+        if x.data.len() != spec.hidden as usize {
+            return Err(spec.bad_input("step", x));
+        }
         let bucket = if self.pos == spec.buckets[bucket] {
             self.grow(bucket)?
         } else {

@@ -29,7 +29,6 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rand::prelude::*;
-use rustc_hash::FxHashMap;
 
 use mcfuser_ir::ChainSpec;
 use mcfuser_sim::DeviceSpec;
@@ -38,6 +37,7 @@ use mcfuser_tile::{
     TilingExpr, RULE4_MARGIN,
 };
 
+use crate::lru::Lru;
 use crate::prune::PruneStats;
 
 /// The (un-pruned) search space of a chain.
@@ -314,29 +314,33 @@ fn combo_fits(chain: &ChainSpec, tiles: &[u64], limit: u64) -> bool {
 /// Content identity of a built [`CandidateSpace`]: everything space
 /// construction reads *except the chain's name* — batch/m/dims (the
 /// tile domains), epilogues and biases (expression enumeration and
-/// Rules 1–2), dtype (the Eq. 1 estimate), the expression policy, and
-/// the Rule-4 budget. Two tuning tasks sharing this fingerprint build
-/// bit-identical spaces, so e.g. every same-shaped BERT layer — and
-/// every transpose-layout or search-parameter variant of one — maps to
-/// one Rule-4 scan.
+/// Rules 1–2), dtype and the stitched prologue/epilogue (the Eq. 1
+/// estimate), the expression policy, and the Rule-4 budget. Two tuning
+/// tasks sharing this fingerprint build bit-identical spaces, so e.g.
+/// every same-shaped BERT layer — and every transpose-layout or
+/// search-parameter variant of one — maps to one Rule-4 scan.
 pub fn space_fingerprint(
     chain: &ChainSpec,
     dev: &DeviceSpec,
     policy: &crate::tuner::SpacePolicy,
 ) -> String {
     let smem_limit = policy.shared_memory_pruning.then_some(dev.smem_per_block);
+    // Exhaustive on purpose: a new `ChainSpec` field fails to compile
+    // here until the fingerprint accounts for it.
+    let ChainSpec {
+        name: _,
+        batch,
+        m,
+        dims,
+        epilogues,
+        biases,
+        dtype,
+        prologue,
+        stitch_epilogue,
+    } = chain;
     format!(
-        "b{}|m{}|d{:?}|e{:?}|bi{:?}|t{:?}|st{:?}{:?}|deep{}|smem{:?}",
-        chain.batch,
-        chain.m,
-        chain.dims,
-        chain.epilogues,
-        chain.biases,
-        chain.dtype,
-        chain.prologue,
-        chain.stitch_epilogue,
+        "b{batch}|m{m}|d{dims:?}|e{epilogues:?}|bi{biases:?}|t{dtype:?}|st{prologue:?}{stitch_epilogue:?}|deep{}|smem{smem_limit:?}",
         policy.deep_tiling_only,
-        smem_limit,
     )
 }
 
@@ -353,26 +357,15 @@ pub fn space_fingerprint(
 /// [`EngineStats::space_cache_hits`](crate::EngineStats::space_cache_hits);
 /// fresh builds are counted by the *caller* (the engine's
 /// `space_builds` probe covers the cache-disabled path too).
-///
 #[derive(Debug)]
 pub struct SpaceCache {
-    entries: Mutex<SpaceCacheInner>,
+    /// Build-once cells; a cell whose build is still in flight is
+    /// pinned, so the build-once guarantee survives eviction.
+    entries: Mutex<Lru<String, SpaceCell>>,
     hits: AtomicU64,
-    evictions: AtomicU64,
-    capacity: usize,
 }
 
-#[derive(Debug, Default)]
-struct SpaceCacheInner {
-    map: FxHashMap<String, SpaceEntry>,
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct SpaceEntry {
-    cell: Arc<OnceLock<Arc<CandidateSpace>>>,
-    last_used: u64,
-}
+type SpaceCell = Arc<OnceLock<Arc<CandidateSpace>>>;
 
 /// Default [`SpaceCache`] bound: distinct space fingerprints retained
 /// before least-recently-used eviction kicks in. Spaces rebuild
@@ -397,10 +390,8 @@ impl SpaceCache {
     /// An empty cache retaining at most `capacity` spaces (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         SpaceCache {
-            entries: Mutex::new(SpaceCacheInner::default()),
+            entries: Mutex::new(Lru::new(capacity, |cell: &SpaceCell| cell.get().is_none())),
             hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity: capacity.max(1),
         }
     }
 
@@ -417,27 +408,11 @@ impl SpaceCache {
         fingerprint: String,
         build: impl FnOnce() -> CandidateSpace,
     ) -> Arc<CandidateSpace> {
-        let cell = {
-            let mut inner = self.entries.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner.map.entry(fingerprint).or_default();
-            entry.last_used = tick;
-            let cell = entry.cell.clone();
-            if inner.map.len() > self.capacity {
-                let victim = inner
-                    .map
-                    .iter()
-                    .filter(|(_, e)| e.last_used != tick && e.cell.get().is_some())
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                if let Some(k) = victim {
-                    inner.map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            cell
-        };
+        // The build runs outside the lock; only the cell lookup holds it.
+        let cell = self
+            .entries
+            .lock()
+            .get_or_insert_with(fingerprint, SpaceCell::default);
         let mut fresh = false;
         let space = cell
             .get_or_init(|| {
@@ -458,12 +433,12 @@ impl SpaceCache {
 
     /// Spaces dropped by the LRU bound.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.entries.lock().evictions()
     }
 
     /// Number of cached spaces.
     pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        self.entries.lock().len()
     }
 
     /// Whether nothing has been cached yet.

@@ -124,11 +124,6 @@ impl TuningClock {
         self.inner.lock().estimates += 1;
     }
 
-    /// Charge an arbitrary fixed cost (e.g. graph-level passes).
-    pub fn charge_fixed(&self, seconds: f64) {
-        self.inner.lock().virtual_seconds += seconds;
-    }
-
     /// Fold another session's counters into this clock (used by the
     /// engine layer, which tunes each chain on its own local clock and
     /// merges the results so parallel tuning stays deterministic).

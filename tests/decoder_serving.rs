@@ -11,7 +11,9 @@
 //!   forward pass exactly on the reference lane, and within tight
 //!   relative error on the fused lane;
 //! * per-request `RunOptions` backend overrides and wall-clock
-//!   reservoir stats are honored on the coalesced decode-step path.
+//!   reservoir stats are honored on the coalesced decode-step path;
+//! * malformed prompts and step rows return `DecodeError::BadInput`
+//!   instead of panicking.
 
 use std::sync::Arc;
 
@@ -265,6 +267,48 @@ fn decode_session_prefill_then_steps_matches_full_forward() {
     drop(session);
     let mut again = serving.open(RunOptions::seeded(seed));
     again.prefill(&prompt).unwrap();
+}
+
+/// Malformed client input is a structured `DecodeError::BadInput`, not a
+/// panic: a prompt of the wrong rank or hidden width, an empty prompt,
+/// and a step row of the wrong length. A rejected call leaves the
+/// session as it was.
+#[test]
+fn malformed_session_inputs_are_structured_errors() {
+    let cfg = DecoderConfig::gpt_mini();
+    let serving = decode_serving(&cfg, &[8]);
+    let h = cfg.hidden;
+    let mut session = serving.open(RunOptions::seeded(1));
+    for (what, prompt) in [
+        ("rank 1", ramp(&[h], 0)),
+        ("rank 3", ramp(&[1, 3, h], 0)),
+        ("width", ramp(&[3, h + 1], 0)),
+        ("empty", HostTensor::from_vec(&[0, h], Vec::new())),
+    ] {
+        let err = session.prefill(&prompt).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DecodeError::BadInput {
+                    input: "prompt",
+                    ..
+                }
+            ),
+            "{what}: {err}"
+        );
+    }
+    assert_eq!(session.pos(), 0);
+    session.prefill(&ramp(&[3, h], 0)).unwrap();
+    for row in [ramp(&[1, h - 1], 0), ramp(&[2, h], 0)] {
+        let err = session.step(&row).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::BadInput { input: "step", .. }),
+            "{err}"
+        );
+    }
+    assert_eq!(session.pos(), 3);
+    session.step(&ramp(&[1, h], 0)).unwrap();
+    assert_eq!(session.pos(), 4);
 }
 
 /// Per-request backend overrides and the wall-clock reservoir are both
