@@ -340,6 +340,11 @@ impl OpCostModel for Ansor {
                 let elems: u64 = n.shape.iter().product();
                 StreamKernel::elementwise(&n.name, elems, esz).time(dev)
             }
+            Op::WriteRow => {
+                // In-place row update: only the new rows move.
+                let elems: u64 = graph.node(n.inputs[1]).shape.iter().product();
+                StreamKernel::elementwise(&n.name, elems, esz).time(dev)
+            }
         }
     }
 

@@ -39,7 +39,7 @@ use crate::tuner::TuneError;
 
 /// Shape metadata a [`DecodeServing`] needs to drive a decoder it did
 /// not build: enough to size KV caches and synthesize the shared
-/// mask/one-hot inputs of the step graph.
+/// mask and row-selector inputs of the step graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeSpec {
     /// Model name: the weight-hash graph name shared by every bucket's
@@ -161,9 +161,14 @@ impl DecodeServing {
     /// Compile and register one prefill and one step plan per bucket.
     ///
     /// `step_graph(t_b)` must build the single-token decode graph at
-    /// bucket capacity `t_b` (inputs `x`, `mask`, `onehot`, per-layer
+    /// bucket capacity `t_b` (inputs `x`, `mask`, the `onehot` row
+    /// selector ([`mcfuser_ir::scatter_onehot`]) and per-layer
     /// `l{i}.k_cache` / `l{i}.v_cache`; outputs `lm_head` then
-    /// per-layer `l{i}.kh` / `l{i}.vh` new rows); `prefill_graph(t)`
+    /// per-layer `l{i}.kh` / `l{i}.vh` new rows, which the session
+    /// appends to its cache). The session feeds the selector at the
+    /// current position on every step; the graph is expected to place
+    /// the new rows in its cache panels with [`mcfuser_ir::Op::WriteRow`]
+    /// so the step's attention sees them. `prefill_graph(t)`
     /// the full-sequence causal graph (inputs `x`, `mask`; outputs
     /// `lm_head` then per-layer KV panels). Both must use
     /// [`DecodeSpec::model`] as the *graph* name so every bucket hashes
@@ -371,16 +376,10 @@ impl DecodeSession {
         let mut inputs = InputSet::new();
         inputs.insert("x", HostTensor::from_vec(&[1, spec.hidden], x.data.clone()));
         inputs.insert("mask", decode_mask(spec.heads, t_b, self.pos));
-        let onehot = scatter_onehot(spec.kv_heads, t_b, self.pos);
-        // The fused KV-append chain computes `cache + onehot × new_row`;
-        // by linearity it rewrites exactly the rows this column selects.
-        // The verifier's one-hot obligation makes that "exactly one row
-        // per head" — checked here where the scatter input is built.
-        debug_assert!(
-            mcfuser_sim::verify::is_scatter_onehot(&onehot),
-            "decode scatter input must be one-hot per head"
-        );
-        inputs.insert("onehot", onehot);
+        // The step graph's `WriteRow` glue places the new KV row at the
+        // row this column selects, so the step's own attention sees it;
+        // the op rejects a selector that is not one-hot per head.
+        inputs.insert("onehot", scatter_onehot(spec.kv_heads, t_b, self.pos));
         let panel_shape = [spec.kv_heads, t_b, hd as u64];
         for l in 0..spec.layers as usize {
             inputs.insert(

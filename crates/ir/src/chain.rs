@@ -820,10 +820,10 @@ pub fn decode_mask(heads: u64, n: u64, pos: u64) -> HostTensor {
     HostTensor::from_vec(&[heads, 1, n], data)
 }
 
-/// A one-hot scatter column `[batch, n, 1]` selecting row `pos`: used as
-/// the left operand of a batched matmul against a `[batch, 1, d]` new
-/// KV row so `cache + onehot×row` appends the row at `pos` without a
-/// dedicated scatter op.
+/// A one-hot row selector `[batch, n, 1]` choosing row `pos` of every
+/// head: the `select` operand of [`crate::Op::WriteRow`], which writes a
+/// decode step's new `[batch, 1, d]` KV row into row `pos` of a
+/// `[batch, n, d]` cache panel.
 pub fn scatter_onehot(batch: u64, n: u64, pos: u64) -> HostTensor {
     let (bb, nn, p) = (batch as usize, n as usize, pos as usize);
     let mut data = vec![0.0f32; bb * nn];

@@ -68,6 +68,15 @@ pub enum Op {
         /// Query heads per KV head.
         repeat: u64,
     },
+    /// Row write: inputs `[cache [b, t, d], row [b, 1, d], select [b, t, 1]]`.
+    /// The output is `cache` with row `p_b` of each head `b` replaced by
+    /// `row[b]`, where `p_b` is the single `1.0` in `select[b, :, 0]` (a
+    /// [`crate::scatter_onehot`] column). A selector that is not exactly
+    /// one `1.0` per head with zeros elsewhere is a [`GraphError`]. This
+    /// is how a decode step places its new KV row in a bucket-capacity
+    /// panel; cost models price it as an in-place update of `b·d`
+    /// elements.
+    WriteRow,
 }
 
 impl Op {
@@ -86,6 +95,7 @@ impl Op {
                 | Op::SplitHeads { .. }
                 | Op::MergeHeads
                 | Op::RepeatKv { .. }
+                | Op::WriteRow
         )
     }
 
@@ -412,6 +422,26 @@ impl GraphBuilder {
         )
     }
 
+    /// Row write: `cache [b, t, d]` with row `p_b` of head `b` replaced by
+    /// `row [b, 1, d]`, `p_b` selected by the one-hot `select [b, t, 1]`.
+    pub fn write_row(&mut self, name: &str, cache: NodeId, row: NodeId, select: NodeId) -> NodeId {
+        let shape = self.graph.node(cache).shape.clone();
+        assert_eq!(shape.len(), 3, "write_row expects a rank-3 cache");
+        let (b, t, d) = (shape[0], shape[1], shape[2]);
+        assert_eq!(self.graph.node(row).shape, [b, 1, d], "write_row row shape");
+        assert_eq!(
+            self.graph.node(select).shape,
+            [b, t, 1],
+            "write_row selector shape"
+        );
+        self.push(
+            name.to_string(),
+            Op::WriteRow,
+            vec![cache, row, select],
+            shape,
+        )
+    }
+
     /// Finish, declaring graph outputs.
     pub fn finish(mut self, outputs: Vec<NodeId>) -> Graph {
         self.graph.outputs = outputs;
@@ -473,6 +503,8 @@ mod tests {
         assert!(Op::BatchMatMul { transpose_b: false }.is_compute_intensive());
         assert!(Op::Softmax { scale: 1.0 }.is_memory_intensive());
         assert!(Op::LayerNorm.is_memory_intensive());
+        assert!(Op::WriteRow.is_memory_intensive());
+        assert!(!Op::WriteRow.is_compute_intensive());
         assert!(!Op::Input.is_compute_intensive());
         assert!(!Op::Input.is_memory_intensive());
     }

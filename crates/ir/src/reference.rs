@@ -206,6 +206,7 @@ pub fn evaluate_node_with<'v>(
                 }
                 HostTensor::from_vec(&node.shape, out)
             }
+            Op::WriteRow => eval_write_row(node, values)?,
         };
         Ok(v)
     }
@@ -220,6 +221,50 @@ fn value<'v>(values: ValueLookup<'_, 'v>, id: NodeId) -> &'v HostTensor {
 /// interpreter share one bit-identical implementation.
 pub fn gelu(x: f32) -> f32 {
     mcfuser_sim::gelu(x)
+}
+
+/// [`Op::WriteRow`]: copy the panel, then overwrite the one selected row
+/// per head. Rejects a malformed row or selector instead of panicking.
+fn eval_write_row(
+    node: &crate::graph::Node,
+    values: ValueLookup<'_, '_>,
+) -> Result<HostTensor, GraphError> {
+    let cache = value(values, node.inputs[0]);
+    let row = value(values, node.inputs[1]);
+    let select = value(values, node.inputs[2]);
+    let bad = |detail: String| GraphError::ShapeMismatch {
+        node: node.name.clone(),
+        detail,
+    };
+    let [b, t, d] = cache.shape[..] else {
+        return Err(bad(format!("cache {:?} is not rank 3", cache.shape)));
+    };
+    if row.shape != [b, 1, d] {
+        return Err(bad(format!(
+            "row {:?} for cache {:?}",
+            row.shape, cache.shape
+        )));
+    }
+    if select.shape != [b, t, 1] {
+        return Err(bad(format!(
+            "selector {:?} for cache {:?}",
+            select.shape, cache.shape
+        )));
+    }
+    let (t, d) = (t as usize, d as usize);
+    let mut out = cache.data.clone();
+    for h in 0..b as usize {
+        let col = &select.data[h * t..(h + 1) * t];
+        let one_hot = col.iter().filter(|&&v| v != 0.0).count() == 1;
+        let pos = col
+            .iter()
+            .position(|&v| v == 1.0)
+            .filter(|_| one_hot)
+            .ok_or_else(|| bad(format!("selector head {h} is not one-hot over {t} rows")))?;
+        let dst = (h * t + pos) * d;
+        out[dst..dst + d].copy_from_slice(&row.data[h * d..(h + 1) * d]);
+    }
+    Ok(HostTensor::from_vec(&cache.shape, out))
 }
 
 fn eval_linear(
@@ -403,6 +448,139 @@ mod tests {
         assert!(gelu(0.0).abs() < 1e-7);
         assert!((gelu(1.0) - 0.8411).abs() < 1e-3);
         assert!(gelu(-10.0).abs() < 1e-3);
+    }
+
+    /// Evaluate `write_row(cache [2, 4, 3], row [2, 1, 3], select [2, 4, 1])`
+    /// on the given tensors (shapes are not checked at feed time, so a
+    /// test can pass malformed ones).
+    fn write_row(
+        cache: HostTensor,
+        row: HostTensor,
+        select: HostTensor,
+    ) -> Result<HostTensor, GraphError> {
+        let mut gb = GraphBuilder::new("t", DType::F32);
+        let c = gb.input("cache", vec![2, 4, 3]);
+        let r = gb.input("row", vec![2, 1, 3]);
+        let s = gb.input("select", vec![2, 4, 1]);
+        let w = gb.write_row("w", c, r, s);
+        let g = gb.finish(vec![w]);
+        let vals = evaluate(&g, &input_map(vec![(c, cache), (r, row), (s, select)]), 0)?;
+        Ok(vals[w.0].clone())
+    }
+
+    /// A cache holding the awkward values a row write must carry over
+    /// untouched: signed zeros, NaN and both infinities.
+    fn awkward_cache() -> HostTensor {
+        let specials = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5];
+        HostTensor::from_vec(&[2, 4, 3], (0..24).map(|i| specials[i % 6]).collect())
+    }
+
+    fn selector(rows: [usize; 2]) -> HostTensor {
+        let mut s = HostTensor::zeros(&[2, 4, 1]);
+        for (h, r) in rows.iter().enumerate() {
+            s.data[h * 4 + r] = 1.0;
+        }
+        s
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn write_row_replaces_only_the_selected_rows() {
+        let cache = awkward_cache();
+        let row = HostTensor::from_vec(&[2, 1, 3], vec![7., 8., 9., -1., -2., -3.]);
+        let out = write_row(cache.clone(), row, selector([1, 3])).unwrap();
+        assert_eq!(out.shape, cache.shape);
+        for h in 0..2 {
+            for r in 0..4 {
+                let at = (h * 4 + r) * 3;
+                let got = &out.data[at..at + 3];
+                match (h, r) {
+                    (0, 1) => assert_eq!(got, [7., 8., 9.]),
+                    (1, 3) => assert_eq!(got, [-1., -2., -3.]),
+                    _ => assert_eq!(
+                        bits(got),
+                        bits(&cache.data[at..at + 3]),
+                        "head {h} row {r} must stay bit-identical"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// A non-finite new row lands in its own row only. The one-hot
+    /// product `cache + onehot × row` this op replaces spread it: `0 × inf`
+    /// and `0 × NaN` are NaN, so every row of the head went non-finite.
+    #[test]
+    fn non_finite_row_stays_in_its_row() {
+        let cache = HostTensor::from_vec(&[2, 4, 3], (0..24).map(|i| i as f32).collect());
+        let row = HostTensor::from_vec(&[2, 1, 3], vec![f32::INFINITY, 1., 2., 3., f32::NAN, 4.]);
+        let out = write_row(cache.clone(), row.clone(), selector([2, 0])).unwrap();
+        let non_finite = out.data.iter().filter(|v| !v.is_finite()).count();
+        assert_eq!(non_finite, 2, "only the two written elements");
+        assert_eq!(out.data[2 * 3], f32::INFINITY);
+        assert!(out.data[4 * 3 + 1].is_nan());
+
+        let mut gb = GraphBuilder::new("t", DType::F32);
+        let c = gb.input("cache", vec![2, 4, 3]);
+        let r = gb.input("row", vec![2, 1, 3]);
+        let s = gb.input("select", vec![2, 4, 1]);
+        let x = gb.batch_matmul("x", s, r, false);
+        let f = gb.add("f", c, x);
+        let g = gb.finish(vec![f]);
+        let inputs = input_map(vec![(c, cache), (r, row), (s, selector([2, 0]))]);
+        let old = &evaluate(&g, &inputs, 0).unwrap()[f.0];
+        for (i, r) in old.data.chunks_exact(3).enumerate() {
+            assert!(r.iter().any(|v| v.is_nan() || v.is_infinite()), "row {i}");
+        }
+    }
+
+    #[test]
+    fn malformed_write_row_operands_are_errors() {
+        let cache = || HostTensor::zeros(&[2, 4, 3]);
+        let row = || HostTensor::zeros(&[2, 1, 3]);
+        let mut two_ones = selector([1, 1]);
+        two_ones.data[0] = 1.0;
+        let mut not_binary = selector([1, 1]);
+        not_binary.data[1] = 0.5;
+        let mut negative_one = selector([0, 0]);
+        negative_one.data[5] = -1.0;
+        for (what, sel) in [
+            ("no one", HostTensor::zeros(&[2, 4, 1])),
+            ("two ones", two_ones),
+            ("non-0/1 value", not_binary),
+            ("-1 value", negative_one),
+            (
+                "rank 2",
+                HostTensor::from_vec(&[2, 4], selector([0, 0]).data),
+            ),
+            ("wrong length", HostTensor::zeros(&[2, 5, 1])),
+        ] {
+            let err = write_row(cache(), row(), sel).unwrap_err();
+            assert!(
+                matches!(&err, GraphError::ShapeMismatch { node, .. } if node == "w"),
+                "{what}: {err}"
+            );
+        }
+        for (what, bad_row) in [
+            ("row width", HostTensor::zeros(&[2, 1, 4])),
+            ("row count", HostTensor::zeros(&[2, 2, 3])),
+            ("row heads", HostTensor::zeros(&[1, 1, 3])),
+        ] {
+            assert!(
+                write_row(cache(), bad_row, selector([0, 0])).is_err(),
+                "{what}"
+            );
+        }
+        let flat = HostTensor::zeros(&[8, 3]);
+        assert!(
+            write_row(flat, row(), selector([0, 0])).is_err(),
+            "rank-2 cache"
+        );
+        let (empty, none) = (HostTensor::zeros(&[2, 0, 3]), HostTensor::zeros(&[2, 0, 1]));
+        assert!(write_row(empty, row(), none).is_err(), "no rows to select");
     }
 
     #[test]

@@ -76,7 +76,4 @@ pub use timing::{
     hash_program, measure, measure_noisy, measure_opts, mma_efficiency, Bound, KernelProfile,
     MeasureOpts,
 };
-pub use verify::{
-    is_scatter_onehot, mark_expected_clips, verify_program, verify_widened, VerifyError,
-    VerifyReport,
-};
+pub use verify::{mark_expected_clips, verify_program, verify_widened, VerifyError, VerifyReport};

@@ -45,7 +45,6 @@
 //! workload family and asserts zero violations.
 
 use crate::dtype::DType;
-use crate::exec::HostTensor;
 use crate::kernel::{
     visit_accesses, BlockStmt, BufId, BufferRole, ClipMark, LoopHandle, ProgramError, SmemId,
     TileAccess, TileProgram, VarRef,
@@ -928,29 +927,6 @@ pub fn mark_expected_clips(p: &mut TileProgram) {
     p.clip_ok = marks;
 }
 
-/// Whether `t` is a valid one-hot scatter column (`[heads, n, 1]` with
-/// exactly one `1.0` per head and zeros elsewhere) — the input-side
-/// obligation of the decode-step KV append proof: the fused scatter
-/// chain computes `cache + onehot × new_row`, which by linearity
-/// changes exactly the one row per head selected here.
-pub fn is_scatter_onehot(t: &HostTensor) -> bool {
-    let [heads, n, one] = t.shape[..] else {
-        return false;
-    };
-    if one != 1 {
-        return false;
-    }
-    for h in 0..heads {
-        let col = &t.data[(h * n) as usize..((h + 1) * n) as usize];
-        let ones = col.iter().filter(|&&v| v == 1.0).count();
-        let zeros = col.iter().filter(|&&v| v == 0.0).count();
-        if ones != 1 || zeros != n as usize - 1 {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,17 +1140,5 @@ mod tests {
             src: SmemId(1),
         });
         assert!(verify_widened(&p).is_err());
-    }
-
-    #[test]
-    fn scatter_onehot_recognized() {
-        let mut t = HostTensor::zeros(&[2, 4, 1]);
-        t.data[1] = 1.0;
-        t.data[4 + 2] = 1.0;
-        assert!(is_scatter_onehot(&t));
-        t.data[0] = 1.0; // two ones in head 0
-        assert!(!is_scatter_onehot(&t));
-        let bad = HostTensor::zeros(&[2, 4, 1]);
-        assert!(!is_scatter_onehot(&bad)); // no one at all
     }
 }

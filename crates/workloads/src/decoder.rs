@@ -10,9 +10,14 @@
 //! `t == 1` the permutes degenerate to element-order-preserving copies,
 //! which keeps decode steps bit-aligned with multi-token prefill.
 //!
-//! The decode step appends to the cache *inside* the graph with a
-//! one-hot scatter (`cache + onehot×new_row`), so the fused attention
-//! chain always sees a full bucket-capacity KV panel; padded rows are
+//! The decode step places its own new KV row *inside* the graph with a
+//! row write ([`mcfuser_ir::Op::WriteRow`]: the cache panel with the
+//! row an `onehot` selector picks replaced), so the fused attention
+//! chain always sees a full bucket-capacity KV panel that includes the
+//! current token. The write is reference-lane glue (one panel copy and
+//! one row write per head), priced by the fallback backends as an
+//! in-place `kv_heads·hd` update. The step also emits the new rows,
+//! which the session appends to its own cache. Padded rows are
 //! neutralized by a `-1e9` additive mask whose probabilities underflow
 //! to an exact `0.0`, making outputs invariant to bucket padding.
 
@@ -131,8 +136,10 @@ fn forward_layer(
     (ffn_block(gb, cfg, l, proj, x), kh, vh)
 }
 
-/// One single-token decode layer against a bucket-capacity KV cache;
-/// returns `(output, k_new, v_new)` where the new rows are
+/// One single-token decode layer against a bucket-capacity KV cache.
+/// The `onehot` selector names the row `WriteRow` fills with this
+/// token's K and V before attention reads the panels. Returns
+/// `(output, k_new, v_new)` where the new rows are
 /// `[kv_heads, 1, head_dim]` panels for the session to append.
 #[allow(clippy::too_many_arguments)]
 fn step_layer(
@@ -152,12 +159,12 @@ fn step_layer(
     let qh = gb.split_heads(&format!("l{l}.qh"), q, cfg.heads);
     let kh = gb.split_heads(&format!("l{l}.kh"), k, cfg.kv_heads);
     let vh = gb.split_heads(&format!("l{l}.vh"), v, cfg.kv_heads);
-    // One-hot scatter append: `cache + onehot×new_row` places the new
-    // KV row at the current position without a dedicated scatter op.
-    let kx = gb.batch_matmul(&format!("l{l}.kx"), onehot, kh, false);
-    let vx = gb.batch_matmul(&format!("l{l}.vx"), onehot, vh, false);
-    let kf = gb.add(&format!("l{l}.kf"), k_cache, kx);
-    let vf = gb.add(&format!("l{l}.vf"), v_cache, vx);
+    // Write this token's K/V row into the selected row of each head's
+    // panel (reference-lane glue: a panel copy plus one row write per
+    // head) so the attention below sees the current token. The panels are step-local:
+    // the session appends the emitted `kh`/`vh` rows to its own cache.
+    let kf = gb.write_row(&format!("l{l}.kf"), k_cache, kh, onehot);
+    let vf = gb.write_row(&format!("l{l}.vf"), v_cache, vh, onehot);
     let (ka, va) = if cfg.kv_heads == cfg.heads {
         (kf, vf)
     } else {
@@ -204,8 +211,9 @@ pub fn decoder_forward_graph(name: &str, cfg: &DecoderConfig, t: u64) -> Graph {
 /// Single-token decode step against KV caches of bucket capacity `t_b`.
 ///
 /// Inputs: `x` `[1, hidden]`, per-layer `l{i}.k_cache` / `l{i}.v_cache`
-/// `[kv_heads, t_b, head_dim]`, a shared `onehot` scatter column
-/// `[kv_heads, t_b, 1]` ([`mcfuser_ir::scatter_onehot`]) and a shared
+/// `[kv_heads, t_b, head_dim]`, a shared `onehot` row selector
+/// `[kv_heads, t_b, 1]` ([`mcfuser_ir::scatter_onehot`]) naming the
+/// position each layer's `WriteRow` fills, and a shared
 /// additive `mask` `[heads, 1, t_b]` ([`mcfuser_ir::decode_mask`]).
 /// Outputs: `lm_head` logits `[1, vocab]` followed by per-layer
 /// `l{i}.kh` / `l{i}.vh` new KV rows `[kv_heads, 1, head_dim]`.
@@ -315,6 +323,30 @@ mod tests {
                 fc.chain.dims,
                 vec![cfg.hidden, cfg.intermediate, cfg.hidden]
             );
+        }
+    }
+
+    /// The KV rows are placed by `WriteRow`, not by a one-hot product:
+    /// every batched matmul left outside the fused chains would be
+    /// reference-lane glue, so none may remain (only `Linear`
+    /// projections run there), and each layer writes exactly two rows.
+    #[test]
+    fn step_graph_places_kv_rows_without_glue_matmuls() {
+        for cfg in [DecoderConfig::gpt_mini(), DecoderConfig::gpt_mini_gqa()] {
+            for t_b in [16, 64] {
+                let g = decoder_step_graph("gpt-mini", &cfg, t_b);
+                let part = partition(&g, &DeviceSpec::a100());
+                let glue_bmm: Vec<&str> = part
+                    .rest
+                    .iter()
+                    .map(|&id| g.node(id))
+                    .filter(|n| matches!(n.op, Op::BatchMatMul { .. }))
+                    .map(|n| n.name.as_str())
+                    .collect();
+                assert!(glue_bmm.is_empty(), "glue matmuls: {glue_bmm:?}");
+                let writes = g.nodes.iter().filter(|n| n.op == Op::WriteRow).count();
+                assert_eq!(writes, 2 * cfg.layers as usize, "kv_heads {}", cfg.kv_heads);
+            }
         }
     }
 

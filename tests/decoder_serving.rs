@@ -13,7 +13,9 @@
 //! * per-request `RunOptions` backend overrides and wall-clock
 //!   reservoir stats are honored on the coalesced decode-step path;
 //! * malformed prompts and step rows return `DecodeError::BadInput`
-//!   instead of panicking.
+//!   instead of panicking;
+//! * decode logits over a prefill plus a bucket migration stay pinned to
+//!   fixed hashes on both backends and under width-2 coalescing.
 
 use std::sync::Arc;
 
@@ -180,10 +182,50 @@ fn fused_decode_step_matches_reference_on_both_backends() {
     }
 }
 
+/// A step whose `onehot` selector is not one-hot per head fails in the
+/// step graph's `WriteRow` glue and reaches the client as a structured
+/// `ExecError`, on every backend, instead of decoding garbage.
+#[test]
+fn malformed_row_selector_is_an_exec_error() {
+    let cfg = DecoderConfig::gpt_mini();
+    let (_, plan) = shared_step_plan();
+    let runtime = ModelRuntime::new();
+    runtime.register_arc("step", plan.clone());
+    let mut two_ones = scatter_onehot(cfg.kv_heads, 16, 3);
+    two_ones.data[0] = 1.0;
+    for (what, sel) in [
+        ("no one", HostTensor::zeros(&[cfg.kv_heads, 16, 1])),
+        ("two ones", two_ones),
+    ] {
+        let mut tensors = step_tensors(&cfg, 16, 3, 0);
+        let onehot = tensors.iter_mut().find(|(n, _)| n == "onehot").unwrap();
+        onehot.1 = sel;
+        for backend in [ExecBackend::Interpreter, ExecBackend::Vectorized] {
+            let opts = RunOptions::seeded(1).with_backend(backend);
+            let err = runtime
+                .infer("step", &to_input_set(&tensors), opts)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ExecError::Reference { node, .. } if node == "l0.kf"),
+                "{what} ({backend:?}): {err}"
+            );
+        }
+    }
+}
+
 /// Compile a bucketed decode serving over the gpt-mini decoder.
 fn decode_serving(cfg: &DecoderConfig, buckets: &[u64]) -> Arc<DecodeServing> {
+    decode_serving_on(cfg, buckets, Arc::new(ModelRuntime::new()))
+}
+
+/// [`decode_serving`] on a caller-supplied runtime (e.g. one with a
+/// coalescing batch policy).
+fn decode_serving_on(
+    cfg: &DecoderConfig,
+    buckets: &[u64],
+    runtime: Arc<ModelRuntime>,
+) -> Arc<DecodeServing> {
     let engine = engine();
-    let runtime = Arc::new(ModelRuntime::new());
     let spec = DecodeSpec {
         model: "gpt-mini".into(),
         layers: cfg.layers,
@@ -355,4 +397,92 @@ fn session_steps_honor_backend_override_and_wall_stats() {
         "wall-clock reservoir must be populated by submitted steps"
     );
     assert!(step_plan.fused_steps >= 2 * cfg.layers as usize);
+}
+
+/// FNV-1a over the bit patterns of a stream of `f32`s.
+fn fnv1a_bits<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for row in rows {
+        for v in row {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+const PIN_PROMPT: u64 = 8;
+const PIN_STEPS: u64 = 50;
+const PIN_SEED: u64 = 5;
+
+/// Prefill `PIN_PROMPT` ramp rows of stream `stream`, then take
+/// `PIN_STEPS` teacher-forced steps (crossing the 16 → 64 migration);
+/// returns the FNV hash of every logits row, prefill first.
+fn pinned_session_hash(session: &mut DecodeSession, stream: u64) -> u64 {
+    let h = DecoderConfig::gpt_mini().hidden;
+    let mut rows = vec![
+        session
+            .prefill(&ramp(&[PIN_PROMPT, h], stream))
+            .unwrap()
+            .data,
+    ];
+    for i in 0..PIN_STEPS {
+        rows.push(session.step(&ramp(&[1, h], 100 * stream + i)).unwrap().data);
+    }
+    assert_eq!(session.capacity(), 64, "the steps crossed the migration");
+    fnv1a_bits(rows.iter().map(Vec::as_slice))
+}
+
+/// Decode logits are pinned bit for bit: two token streams, each a
+/// prefill of 8 plus 50 steps across buckets [16, 64], hash to fixed
+/// constants on both exec backends at width 1, and again when the two
+/// sessions step together through a width-2 coalescing runtime. A
+/// change to how the step graph places its KV rows, or to any op the
+/// step runs, must leave these logits unchanged.
+#[test]
+fn decode_logits_are_pinned_across_backends_and_coalescing() {
+    const PINNED: [u64; 2] = [0xc67b_f311_3e36_714b, 0x47ce_8bab_85d5_fd68];
+    let cfg = DecoderConfig::gpt_mini();
+    let buckets = [16, 64];
+    let serving = decode_serving(&cfg, &buckets);
+    for backend in [ExecBackend::Interpreter, ExecBackend::Vectorized] {
+        for (stream, want) in PINNED.iter().enumerate() {
+            let mut s = serving.open(RunOptions::seeded(PIN_SEED).with_backend(backend));
+            let got = pinned_session_hash(&mut s, stream as u64);
+            assert_eq!(got, *want, "stream {stream} on {backend:?}: {got:#018x}");
+        }
+    }
+
+    let policy = BatchPolicy {
+        max_batch: 2,
+        max_wait: std::time::Duration::from_millis(200),
+        queue_cap: 64,
+    };
+    let coalesced = decode_serving_on(
+        &cfg,
+        &buckets,
+        Arc::new(ModelRuntime::with_batch_policy(policy)),
+    );
+    let got: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2u64)
+            .map(|stream| {
+                let coalesced = &coalesced;
+                scope.spawn(move || {
+                    let mut s = coalesced.open(RunOptions::seeded(PIN_SEED));
+                    pinned_session_hash(&mut s, stream)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(got, PINNED, "coalesced sessions: {got:#018x?}");
+    let widened = coalesced
+        .runtime()
+        .stats()
+        .batch_sizes
+        .iter()
+        .any(|&(w, n)| w == 2 && n > 0);
+    assert!(widened, "the two sessions never shared a launch");
 }
