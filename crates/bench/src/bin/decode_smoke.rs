@@ -18,6 +18,9 @@
 //! Prints tokens/s and per-step p50/p95 on both clocks, and writes the
 //! report to `results/decode_smoke.json`.
 //!
+//! `MCFUSER_EXEC_BACKEND` selects the backend (`interpreter` or
+//! `vectorized`, the default); any other value exits with an error.
+//!
 //! ```sh
 //! MCFUSER_EXEC_BACKEND=vectorized cargo run --release -p mcfuser-bench --bin decode_smoke
 //! ```
@@ -188,7 +191,10 @@ fn step_summary(stats: &RuntimeStats) -> (u64, f64, f64, Vec<serde_json::Value>)
 
 fn main() {
     let device = DeviceSpec::a100();
-    let backend = ExecBackend::from_env().unwrap_or_default();
+    let backend = ExecBackend::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     println!("decode backend: {backend}");
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())

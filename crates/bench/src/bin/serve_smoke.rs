@@ -16,7 +16,8 @@
 //! The reference runtime that produces the expected outputs is pinned
 //! to the interpreter oracle ([`ExecBackend::Interpreter`]), while the
 //! serial and batched runtimes run whatever `MCFUSER_EXEC_BACKEND`
-//! selects (vectorized by default) — so every output equality assert
+//! selects (vectorized by default; any value other than `interpreter`
+//! or `vectorized` exits with an error) — so every output equality assert
 //! doubles as a cross-backend bit-identity check. A final in-process
 //! shootout times the same request mix on both backends explicitly and
 //! asserts the vectorized kernels deliver at least 3x the wall-clock
@@ -241,7 +242,10 @@ fn shootout(
 
 fn main() {
     let device = DeviceSpec::a100();
-    let backend = ExecBackend::from_env().unwrap_or_default();
+    let backend = ExecBackend::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     println!("serving backend: {backend} (reference oracle stays on the interpreter)");
     let engine = FusionEngine::builder(device)
         .fallback(Relay::new())

@@ -360,6 +360,21 @@ pub fn execute_with_arena(
     storage: &mut TensorStorage,
     arena: &mut BufferArena,
 ) -> Result<(), ExecError> {
+    launch(p, storage, arena, |block_idx, env, smem, storage| {
+        run_stmts(p, &p.body, block_idx, env, smem, storage)
+    })
+}
+
+/// The launch routine both backends share: validate `p` and `storage`,
+/// draw the shared-memory arena, then call `run_block` once per thread
+/// block in grid order with the block's grid coordinates and a zeroed
+/// loop-variable environment.
+pub(crate) fn launch(
+    p: &TileProgram,
+    storage: &mut TensorStorage,
+    arena: &mut BufferArena,
+    mut run_block: impl FnMut(&[u64], &mut [u64], &mut Smem, &mut TensorStorage),
+) -> Result<(), ExecError> {
     p.validate()?;
     if storage.tensors.len() != p.buffers.len() {
         return Err(ExecError::StorageMismatch(format!(
@@ -396,7 +411,7 @@ pub fn execute_with_arena(
             block_idx[i] = rem % grid[i];
             rem /= grid[i];
         }
-        run_stmts(p, &p.body, &block_idx, &mut env, &mut smem, storage);
+        run_block(&block_idx, &mut env, &mut smem, storage);
     }
     smem.recycle(arena);
     Ok(())
@@ -429,317 +444,331 @@ pub(crate) fn tile_origin(acc: &TileAccess, block_idx: &[u64], env: &[u64]) -> V
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_stmts(
     p: &TileProgram,
     stmts: &[BlockStmt],
     block_idx: &[u64],
-    env: &mut Vec<u64>,
+    env: &mut [u64],
     smem: &mut Smem,
     storage: &mut TensorStorage,
 ) {
     for s in stmts {
-        match s {
-            BlockStmt::Loop {
-                handle,
-                extent,
-                body,
-            } => {
-                for i in 0..*extent {
-                    env[handle.0] = i;
-                    run_stmts(p, body, block_idx, env, smem, storage);
-                }
-                env[handle.0] = 0;
+        run_stmt(p, s, block_idx, env, smem, storage);
+    }
+}
+
+/// Run one statement with the interpreter's semantics. The vectorized
+/// backend calls this for every statement whose global window clips.
+pub(crate) fn run_stmt(
+    p: &TileProgram,
+    s: &BlockStmt,
+    block_idx: &[u64],
+    env: &mut [u64],
+    smem: &mut Smem,
+    storage: &mut TensorStorage,
+) {
+    match s {
+        BlockStmt::Loop {
+            handle,
+            extent,
+            body,
+        } => {
+            for i in 0..*extent {
+                env[handle.0] = i;
+                run_stmts(p, body, block_idx, env, smem, storage);
             }
-            BlockStmt::Load { src, dst } => {
-                let origin = tile_origin(src, block_idx, env);
-                let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
-                let dt = p.smem[dst.0].dtype;
-                load_tile(
-                    &storage.tensors[src.buf.0],
-                    &origin,
-                    rows,
-                    cols,
-                    dt,
-                    &mut smem.bufs[dst.0],
-                );
-            }
-            BlockStmt::Store { dst, src } => {
-                let origin = tile_origin(dst, block_idx, env);
-                let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
-                let dt = p.buffers[dst.buf.0].dtype;
-                store_tile(
-                    &smem.bufs[src.0],
-                    rows,
-                    cols,
-                    dt,
-                    &mut storage.tensors[dst.buf.0],
-                    &origin,
-                );
-            }
-            BlockStmt::Fill { dst, value } => smem.bufs[dst.0].fill(*value),
-            BlockStmt::Gemm {
-                a,
-                b,
-                acc,
-                b_transposed,
-                acc_col,
-            } => {
-                gemm_tiles(smem, *a, *b, *acc, *b_transposed, *acc_col as usize);
-            }
-            BlockStmt::OnlineSoftmax {
-                scores,
-                row_max,
-                row_sum,
-                rescale,
-                scale,
-            } => {
-                online_softmax(smem, *scores, *row_max, *row_sum, rescale, *scale);
-            }
-            BlockStmt::RowDiv { target, denom } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                // Split-borrow via pointer copy of the denominator column.
-                let denom_col: Vec<f32> = (0..rows)
-                    .map(|r| smem.bufs[denom.0][r * smem.cols[denom.0] as usize])
-                    .collect();
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let d = denom_col[r];
-                    if d != 0.0 {
-                        for c in 0..cols {
-                            t[r * cols + c] /= d;
-                        }
-                    }
-                }
-            }
-            BlockStmt::Relu { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            BlockStmt::Gelu { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = gelu(*v);
-                }
-            }
-            BlockStmt::AddTile { target, other } => {
-                let (t, o) = (target.0, other.0);
-                if t == o {
-                    for v in smem.bufs[t].iter_mut() {
-                        *v += *v;
-                    }
-                } else {
-                    // Disjoint split borrow — no per-trip allocation.
-                    let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
-                    let (dst, src) = if t < o {
-                        (&mut lo[t], &hi[0])
-                    } else {
-                        (&mut hi[0], &lo[o])
-                    };
-                    for (v, s) in dst.iter_mut().zip(src.iter()) {
-                        *v += s;
-                    }
-                }
-            }
-            BlockStmt::Scale { target, factor } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v *= factor;
-                }
-            }
-            BlockStmt::Exp { target } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = v.exp();
-                }
-            }
-            BlockStmt::AddBias { target, bias } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                let bias_row: Vec<f32> = smem.bufs[bias.0][..cols].to_vec();
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        t[r * cols + c] += bias_row[c];
-                    }
-                }
-            }
-            BlockStmt::Quantize { target, dtype } => {
-                for v in smem.bufs[target.0].iter_mut() {
-                    *v = dtype.quantize(*v);
-                }
-            }
-            BlockStmt::RowNormStats {
-                a,
-                residual,
+            env[handle.0] = 0;
+        }
+        BlockStmt::Load { src, dst } => {
+            let origin = tile_origin(src, block_idx, env);
+            let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
+            let dt = p.smem[dst.0].dtype;
+            load_tile(
+                &storage.tensors[src.buf.0],
+                &origin,
                 rows,
                 cols,
-                mean,
-                rstd,
-                eps,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    RawView::new(&storage.tensors[racc.buf.0], &o)
-                });
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                for r in 0..*rows {
-                    // Sequential row sums in column order so the stats match
-                    // the graph reference's `row.iter().sum()` bit-for-bit.
-                    let (m_val, s_val) = if av.row_in_bounds(r) {
-                        let mut sum = 0.0f32;
-                        for c in 0..*cols {
-                            let mut v = av.get(r, c);
-                            if let Some(rv) = &resv {
-                                v += rv.get(r, c);
-                            }
-                            sum += v;
-                        }
-                        let mean_v = sum / *cols as f32;
-                        let mut var = 0.0f32;
-                        for c in 0..*cols {
-                            let mut v = av.get(r, c);
-                            if let Some(rv) = &resv {
-                                v += rv.get(r, c);
-                            }
-                            let d = v - mean_v;
-                            var += d * d;
-                        }
-                        (mean_v, 1.0 / (var / *cols as f32 + eps).sqrt())
-                    } else {
-                        (0.0, 1.0)
-                    };
-                    smem.bufs[mean.0][r as usize * mcols] = m_val;
-                    smem.bufs[rstd.0][r as usize * rcols] = s_val;
-                }
-            }
-            BlockStmt::NormalizeTile {
-                target,
-                mean,
-                rstd,
-                gamma,
-                beta,
-                round,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
-                let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
+                dt,
+                &mut smem.bufs[dst.0],
+            );
+        }
+        BlockStmt::Store { dst, src } => {
+            let origin = tile_origin(dst, block_idx, env);
+            let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
+            let dt = p.buffers[dst.buf.0].dtype;
+            store_tile(
+                &smem.bufs[src.0],
+                rows,
+                cols,
+                dt,
+                &mut storage.tensors[dst.buf.0],
+                &origin,
+            );
+        }
+        BlockStmt::Fill { dst, value } => smem.bufs[dst.0].fill(*value),
+        BlockStmt::Gemm {
+            a,
+            b,
+            acc,
+            b_transposed,
+            acc_col,
+        } => {
+            gemm_tiles(
+                smem,
+                (*a, *b, *acc),
+                *b_transposed,
+                *acc_col as usize,
+                gemm_inner,
+            );
+        }
+        BlockStmt::OnlineSoftmax {
+            scores,
+            row_max,
+            row_sum,
+            rescale,
+            scale,
+        } => {
+            online_softmax(smem, *scores, *row_max, *row_sum, rescale, *scale);
+        }
+        BlockStmt::RowDiv { target, denom } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            // Split-borrow via pointer copy of the denominator column.
+            let denom_col: Vec<f32> = (0..rows)
+                .map(|r| smem.bufs[denom.0][r * smem.cols[denom.0] as usize])
+                .collect();
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let d = denom_col[r];
+                if d != 0.0 {
                     for c in 0..cols {
-                        let mut v = (t[r * cols + c] - means[r]) * rstds[r];
-                        if let Some(g) = &gvals {
-                            v *= g[c];
-                        }
-                        if let Some(b) = &bvals {
-                            v += b[c];
-                        }
-                        t[r * cols + c] = round.quantize(v);
+                        t[r * cols + c] /= d;
                     }
                 }
             }
-            BlockStmt::AddGlobal { target, src } => {
-                let origin = tile_origin(src, block_idx, env);
-                let view = RawView::new(&storage.tensors[src.buf.0], &origin);
-                let rows = smem.rows[target.0];
-                let cols = smem.cols[target.0];
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        t[(r * cols + c) as usize] += view.get(r, c);
-                    }
+        }
+        BlockStmt::Relu { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        BlockStmt::Gelu { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = gelu(*v);
+            }
+        }
+        BlockStmt::AddTile { target, other } => {
+            let (t, o) = (target.0, other.0);
+            if t == o {
+                for v in smem.bufs[t].iter_mut() {
+                    *v += *v;
+                }
+            } else {
+                // Disjoint split borrow — no per-trip allocation.
+                let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
+                let (dst, src) = if t < o {
+                    (&mut lo[t], &hi[0])
+                } else {
+                    (&mut hi[0], &lo[o])
+                };
+                for (v, s) in dst.iter_mut().zip(src.iter()) {
+                    *v += s;
                 }
             }
-            BlockStmt::AddRecomputedNorm {
-                target,
-                a,
-                residual,
-                mean,
-                rstd,
-                gamma,
-                beta,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = RawView::new(&storage.tensors[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    RawView::new(&storage.tensors[racc.buf.0], &o)
-                });
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
-                let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    if !av.row_in_bounds(r as u64) {
-                        continue;
-                    }
-                    for c in 0..cols {
-                        let mut v = av.get(r as u64, c as u64);
-                        if let Some(rv) = &resv {
-                            v += rv.get(r as u64, c as u64);
-                        }
-                        let mut n = (v - means[r]) * rstds[r];
-                        if let Some(g) = &gvals {
-                            n *= g[c];
-                        }
-                        if let Some(b) = &bvals {
-                            n += b[c];
-                        }
-                        t[r * cols + c] += n;
-                    }
+        }
+        BlockStmt::Scale { target, factor } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v *= factor;
+            }
+        }
+        BlockStmt::Exp { target } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = v.exp();
+            }
+        }
+        BlockStmt::AddBias { target, bias } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            let bias_row: Vec<f32> = smem.bufs[bias.0][..cols].to_vec();
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[r * cols + c] += bias_row[c];
                 }
             }
-            BlockStmt::LayerNormTile {
-                target,
-                gamma,
-                beta,
-                eps,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
-                let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let row = &mut t[r * cols..(r + 1) * cols];
-                    let mean = row.iter().sum::<f32>() / cols as f32;
-                    let var =
-                        row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
-                    for (c, v) in row.iter_mut().enumerate() {
-                        let mut n = (*v - mean) * inv;
-                        if let Some(g) = &gvals {
-                            n *= g[c];
+        }
+        BlockStmt::Quantize { target, dtype } => {
+            for v in smem.bufs[target.0].iter_mut() {
+                *v = dtype.quantize(*v);
+            }
+        }
+        BlockStmt::RowNormStats {
+            a,
+            residual,
+            rows,
+            cols,
+            mean,
+            rstd,
+            eps,
+        } => {
+            let (ad, av) = raw_view(storage, a, block_idx, env);
+            let resv = residual
+                .as_ref()
+                .map(|racc| raw_view(storage, racc, block_idx, env));
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            for r in 0..*rows {
+                // Sequential row sums in column order so the stats match
+                // the graph reference's `row.iter().sum()` bit-for-bit.
+                let (m_val, s_val) = if av.row_in_bounds(r) {
+                    let mut sum = 0.0f32;
+                    for c in 0..*cols {
+                        let mut v = av.get(ad, r, c);
+                        if let Some((rd, rv)) = &resv {
+                            v += rv.get(rd, r, c);
                         }
-                        if let Some(b) = &bvals {
-                            n += b[c];
-                        }
-                        *v = n;
+                        sum += v;
                     }
+                    let mean_v = sum / *cols as f32;
+                    let mut var = 0.0f32;
+                    for c in 0..*cols {
+                        let mut v = av.get(ad, r, c);
+                        if let Some((rd, rv)) = &resv {
+                            v += rv.get(rd, r, c);
+                        }
+                        let d = v - mean_v;
+                        var += d * d;
+                    }
+                    (mean_v, 1.0 / (var / *cols as f32 + eps).sqrt())
+                } else {
+                    (0.0, 1.0)
+                };
+                smem.bufs[mean.0][r as usize * mcols] = m_val;
+                smem.bufs[rstd.0][r as usize * rcols] = s_val;
+            }
+        }
+        BlockStmt::NormalizeTile {
+            target,
+            mean,
+            rstd,
+            gamma,
+            beta,
+            round,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
+            let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    let mut v = (t[r * cols + c] - means[r]) * rstds[r];
+                    if let Some(g) = &gvals {
+                        v *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        v += b[c];
+                    }
+                    t[r * cols + c] = round.quantize(v);
+                }
+            }
+        }
+        BlockStmt::AddGlobal { target, src } => {
+            let (data, view) = raw_view(storage, src, block_idx, env);
+            let rows = smem.rows[target.0];
+            let cols = smem.cols[target.0];
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                for c in 0..cols {
+                    t[(r * cols + c) as usize] += view.get(data, r, c);
+                }
+            }
+        }
+        BlockStmt::AddRecomputedNorm {
+            target,
+            a,
+            residual,
+            mean,
+            rstd,
+            gamma,
+            beta,
+        } => {
+            let (ad, av) = raw_view(storage, a, block_idx, env);
+            let resv = residual
+                .as_ref()
+                .map(|racc| raw_view(storage, racc, block_idx, env));
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            let means: Vec<f32> = (0..rows).map(|r| smem.bufs[mean.0][r * mcols]).collect();
+            let rstds: Vec<f32> = (0..rows).map(|r| smem.bufs[rstd.0][r * rcols]).collect();
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                if !av.row_in_bounds(r as u64) {
+                    continue;
+                }
+                for c in 0..cols {
+                    let mut v = av.get(ad, r as u64, c as u64);
+                    if let Some((rd, rv)) = &resv {
+                        v += rv.get(rd, r as u64, c as u64);
+                    }
+                    let mut n = (v - means[r]) * rstds[r];
+                    if let Some(g) = &gvals {
+                        n *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        n += b[c];
+                    }
+                    t[r * cols + c] += n;
+                }
+            }
+        }
+        BlockStmt::LayerNormTile {
+            target,
+            gamma,
+            beta,
+            eps,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let gvals = gamma.map(|g| smem.bufs[g.0][..cols].to_vec());
+            let bvals = beta.map(|b| smem.bufs[b.0][..cols].to_vec());
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let row = &mut t[r * cols..(r + 1) * cols];
+                let mean = row.iter().sum::<f32>() / cols as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                for (c, v) in row.iter_mut().enumerate() {
+                    let mut n = (*v - mean) * inv;
+                    if let Some(g) = &gvals {
+                        n *= g[c];
+                    }
+                    if let Some(b) = &bvals {
+                        n += b[c];
+                    }
+                    *v = n;
                 }
             }
         }
     }
 }
 
-/// An unquantized window into the trailing two dims of a global tensor,
-/// positioned at a tile origin. The stitched prologue/epilogue statements
-/// read activations raw (f32) so their numerics mirror the graph
-/// reference exactly; out-of-bounds elements read as zero.
-struct RawView<'a> {
-    data: &'a [f32],
+/// Where a tile window sits inside a global tensor: the leading
+/// (slice-selecting) dims resolve to one base offset, the trailing two
+/// to a row and column origin; a rank-1 tensor is a single row. Both
+/// backends address the stitched prologue/epilogue statements' raw
+/// (unquantized f32) reads through it, and the vectorized backend checks
+/// its loads and stores with [`TileView::covers`] before moving whole
+/// rows.
+pub(crate) struct TileView {
     base: u64,
     ro: u64,
     co: u64,
@@ -749,43 +778,73 @@ struct RawView<'a> {
     in_bounds: bool,
 }
 
-impl<'a> RawView<'a> {
-    fn new(src: &'a HostTensor, origin: &[u64]) -> Self {
-        let strides = src.strides();
-        let rank = src.shape.len();
-        debug_assert!(rank >= 2, "RawView needs a matrix-shaped tensor");
-        let lead = rank - 2;
+impl TileView {
+    /// The view of a tensor of `shape` (row-major `strides`) at the tile
+    /// origin `origin`.
+    pub(crate) fn new(shape: &[u64], strides: &[u64], origin: &[u64]) -> Self {
+        let rank = shape.len();
+        let lead = rank.saturating_sub(2);
         let mut base = 0u64;
         let mut in_bounds = true;
         for d in 0..lead {
-            if origin[d] >= src.shape[d] {
+            if origin[d] >= shape[d] {
                 in_bounds = false;
             }
             base += origin[d] * strides[d];
         }
-        RawView {
-            data: &src.data,
+        let (ro, rdim, rstride) = if rank >= 2 {
+            (origin[rank - 2], shape[rank - 2], strides[rank - 2])
+        } else {
+            (0, 1, 0)
+        };
+        TileView {
             base,
-            ro: origin[rank - 2],
+            ro,
             co: origin[rank - 1],
-            rdim: src.shape[rank - 2],
-            cdim: src.shape[rank - 1],
-            rstride: strides[rank - 2],
+            rdim,
+            cdim: shape[rank - 1],
+            rstride,
             in_bounds,
         }
+    }
+
+    /// Whether the whole `rows × cols` window lies inside the tensor:
+    /// every leading index, every row and every column.
+    pub(crate) fn covers(&self, rows: u64, cols: u64) -> bool {
+        self.in_bounds && self.ro + rows <= self.rdim && self.co + cols <= self.cdim
+    }
+
+    /// Flat offset of window element `(r, 0)`; in bounds for every row of
+    /// a window [`TileView::covers`] accepted.
+    pub(crate) fn row_start(&self, r: u64) -> usize {
+        (self.base + (self.ro + r) * self.rstride + self.co) as usize
     }
 
     fn row_in_bounds(&self, r: u64) -> bool {
         self.in_bounds && self.ro + r < self.rdim
     }
 
-    fn get(&self, r: u64, c: u64) -> f32 {
+    /// Window element `(r, c)` of `data`; out-of-bounds elements read as
+    /// zero.
+    fn get(&self, data: &[f32], r: u64, c: u64) -> f32 {
         let (gr, gc) = (self.ro + r, self.co + c);
         if !self.in_bounds || gr >= self.rdim || gc >= self.cdim {
             return 0.0;
         }
-        self.data[(self.base + gr * self.rstride + gc) as usize]
+        data[(self.base + gr * self.rstride + gc) as usize]
     }
+}
+
+/// The raw data and view of the tile window `acc` reads in this block.
+fn raw_view<'a>(
+    storage: &'a TensorStorage,
+    acc: &TileAccess,
+    block_idx: &[u64],
+    env: &[u64],
+) -> (&'a [f32], TileView) {
+    let t = &storage.tensors[acc.buf.0];
+    let origin = tile_origin(acc, block_idx, env);
+    (&t.data, TileView::new(&t.shape, &t.strides(), &origin))
 }
 
 /// tanh-approximation GELU (matches common framework implementations).
@@ -900,15 +959,21 @@ fn store_tile(src: &[f32], rows: u64, cols: u64, dt: DType, dst: &mut HostTensor
     }
 }
 
-/// `acc += a × b` on dense tiles (f32 accumulate, mirroring tensor cores).
-/// `acc_col` offsets the written columns inside `acc` (chunked panels).
-fn gemm_tiles(
+/// A tile GEMM kernel: `acc[i, acc_col + j] += Σ_k a[i, k] · b[k, j]` over
+/// an `m × n × k` tile, `b` stored `n × k` when transposed, `acc` rows
+/// `stride` apart.
+pub(crate) type GemmKernel =
+    fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool, usize, usize);
+
+/// `acc += a × b` on dense tiles (f32 accumulate, mirroring tensor cores)
+/// through `kernel`. `acc_col` offsets the written columns inside `acc`
+/// (chunked panels).
+pub(crate) fn gemm_tiles(
     smem: &mut Smem,
-    a: SmemId,
-    b: SmemId,
-    acc: SmemId,
+    (a, b, acc): (SmemId, SmemId, SmemId),
     b_transposed: bool,
     acc_col: usize,
+    kernel: GemmKernel,
 ) {
     let (m, k) = (smem.rows[a.0] as usize, smem.cols[a.0] as usize);
     let n = if b_transposed {
@@ -919,38 +984,23 @@ fn gemm_tiles(
     let stride = smem.cols[acc.0] as usize;
     debug_assert_eq!(smem.rows[acc.0] as usize, m);
     debug_assert!(acc_col + n <= stride);
-    // Borrow juggling: copy nothing — index via raw splits.
-    // a, b, acc are guaranteed distinct by lowering; fall back to clone if
-    // aliased (never happens in practice, but keep the interpreter total).
-    if a.0 == acc.0 || b.0 == acc.0 {
-        let av = smem.bufs[a.0].clone();
-        let bv = smem.bufs[b.0].clone();
-        let accv = &mut smem.bufs[acc.0];
-        gemm_inner(&av, &bv, accv, m, n, k, b_transposed, stride, acc_col);
-        return;
-    }
-    let (av, bv, accv) = {
-        // Safe disjoint borrows via split_at_mut over the arena.
-        let bufs = &mut smem.bufs;
-        let a_ptr = bufs[a.0].as_ptr();
-        let b_ptr = bufs[b.0].as_ptr();
-        let a_len = bufs[a.0].len();
-        let b_len = bufs[b.0].len();
-        let acc_slice: *mut [f32] = bufs[acc.0].as_mut_slice();
-        // SAFETY: a, b, acc are distinct vector allocations (checked above),
-        // so the immutable views of `a`/`b` cannot alias `acc`.
-        unsafe {
-            (
-                std::slice::from_raw_parts(a_ptr, a_len),
-                std::slice::from_raw_parts(b_ptr, b_len),
-                &mut *acc_slice,
-            )
-        }
-    };
-    gemm_inner(av, bv, accv, m, n, k, b_transposed, stride, acc_col);
+    // `validate` rejects a GEMM whose `acc` is its `a` or `b`, so the
+    // accumulator can leave the arena while the operands are borrowed.
+    let mut accv = std::mem::take(&mut smem.bufs[acc.0]);
+    kernel(
+        &smem.bufs[a.0],
+        &smem.bufs[b.0],
+        &mut accv,
+        m,
+        n,
+        k,
+        b_transposed,
+        stride,
+        acc_col,
+    );
+    smem.bufs[acc.0] = accv;
 }
 
-#[inline]
 #[allow(clippy::too_many_arguments)]
 fn gemm_inner(
     a: &[f32],
@@ -1354,6 +1404,29 @@ mod tests {
         st.tensors[0] = rand_tensor(&[2, 4, 4], 9);
         execute(&p, &mut st).unwrap();
         assert_eq!(st.tensors[1].data, st.tensors[0].data);
+    }
+
+    #[test]
+    fn tile_view_covers_only_whole_windows() {
+        // Two leading slices of a 6 × 5 matrix.
+        let shape = [2u64, 6, 5];
+        let strides = HostTensor::zeros(&shape).strides();
+        let at = |origin: [u64; 3]| TileView::new(&shape, &strides, &origin);
+        // Exact fit: rows 2..6 and columns 1..5 of slice 1.
+        assert!(at([1, 2, 1]).covers(4, 4));
+        assert_eq!(at([1, 2, 1]).row_start(3), 30 + 5 * 5 + 1);
+        // One row past the end.
+        assert!(!at([1, 3, 1]).covers(4, 4));
+        // One column past the end.
+        assert!(!at([1, 2, 2]).covers(4, 4));
+        // A leading index out of bounds, the window otherwise inside.
+        assert!(!at([2, 0, 0]).covers(1, 1));
+        // A rank-1 tensor is a single row.
+        let row = TileView::new(&[7], &[1], &[3]);
+        assert!(row.covers(1, 4));
+        assert!(!row.covers(1, 5));
+        assert!(!row.covers(2, 1));
+        assert_eq!(row.row_start(0), 3);
     }
 
     #[test]

@@ -10,53 +10,53 @@
 //!
 //! * [`InterpreterExec`] — the unchanged interpreter, kept bit-for-bit as
 //!   the correctness oracle (`ExecBackend::Interpreter`);
-//! * [`VectorizedExec`] — blocked, chunked-`f32`-lane kernels
+//! * [`VectorizedExec`] — fast paths over the interpreter's semantics
 //!   (`ExecBackend::Vectorized`, the default): contiguous-innermost row
 //!   slices are resolved **once per tile** and moved with
 //!   `copy_from_slice` (a single `memcpy` per row instead of per-element
 //!   decode), GEMM tiles run register-blocked raw-pointer loops, and the
-//!   fused prologue/epilogue statements reuse per-call scratch instead of
-//!   allocating per statement. Widened (batched) launches hit the same
+//!   fused prologue/epilogue statements reuse per-launch scratch instead
+//!   of allocating per statement. Widened (batched) launches hit the same
 //!   row-slice paths — a batch slot is just a leading-dim offset resolved
 //!   into the row base once.
 //!
-//! Every kernel records its [`NestClass`] at lower time
-//! ([`crate::kernel::ProgramBuilder::finish`]), so the vectorized engine
-//! dispatches its per-class setup in O(1) without re-walking the body:
-//! streaming nests provision no reduction/pipeline scratch, fused
-//! pipelines pre-size the normalization scratch once per launch.
+//! Both backends run through one launch routine (`exec::launch`:
+//! validation, storage check, shared memory, grid walk) and one GEMM
+//! operand split. The vectorized `Load`, `Store`, `RowNormStats`,
+//! `AddGlobal` and `AddRecomputedNorm` take their row-slice path only
+//! when the statement's whole global window — leading dims, rows and
+//! columns — is in bounds. A statement whose window clips runs the
+//! interpreter's own code (`exec::run_stmt`) for that one statement, so
+//! this module carries no clip handling of its own. Lowered programs
+//! rarely clip: the pruning rules keep padding small, and the served
+//! models' kernels declare no clipping at all.
 //!
 //! **Bit-identity contract:** for every program and storage, both backends
-//! produce byte-identical results. The vectorized kernels restructure
-//! *memory access*, never floating-point evaluation order: per-element
-//! operation sequences (including `+ 0.0` on out-of-bounds reads, the
-//! `a == 0.0` GEMM skip, and sequential column-order reductions) are
-//! preserved exactly. The property is enforced by proptest in
-//! `tests/exec_backends.rs`.
+//! produce byte-identical results. Clipped statements hold it by
+//! construction, since they run the oracle's code. The fast paths
+//! restructure *memory access*, never floating-point evaluation order:
+//! per-element operation sequences (the `a == 0.0` GEMM skip and
+//! sequential column-order reductions) are preserved exactly. The
+//! property is enforced by proptest in `tests/exec_backends.rs`.
 //!
 //! **Safety argument.** Every `unsafe` block below is a raw-pointer walk
 //! whose extent is a slice length established immediately above it
-//! (`// SAFETY:` comments state the local bound). Those slice lengths
-//! are not ad hoc: row slices are carved from tile geometry — smem
-//! `rows × cols` against declared buffer shapes — that the static
-//! verifier ([`crate::verify`]) proves in-bounds for every block of the
-//! launch grid before a program reaches an executor (every served
-//! program passes `verify_program`; widened launches additionally pass
-//! `verify_widened`). The crate-level
+//! (`// SAFETY:` comments state the local bound). Row slices are carved
+//! only from windows `TileView::covers` accepted, and smem tiles have
+//! the `rows × cols` extents [`TileProgram::validate`] checked across
+//! each statement's operands. The crate-level
 //! `#![deny(clippy::undocumented_unsafe_blocks)]` keeps the per-block
 //! arguments from rotting.
 
 use serde::{Deserialize, Serialize};
 
 use crate::dtype::DType;
-use crate::exec::{
-    self, max_loop_handle, tile_origin, BufferArena, ExecError, HostTensor, Smem, TensorStorage,
-};
-use crate::kernel::{BlockStmt, NestClass, SmemId, TileProgram};
+use crate::exec::{self, tile_origin, BufferArena, ExecError, Smem, TensorStorage, TileView};
+use crate::kernel::{BlockStmt, SmemId, TileAccess, TileProgram};
 
 /// Which engine executes lowered kernels.
 ///
-/// Parsed from strings (`"interpreter"` / `"vectorized"`, e.g. the
+/// Parsed from exactly `"interpreter"` or `"vectorized"` (e.g. the
 /// `MCFUSER_EXEC_BACKEND` environment knob the bench bins honor) and
 /// serializable so run configurations can be recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -79,10 +79,15 @@ impl ExecBackend {
         }
     }
 
-    /// Read the `MCFUSER_EXEC_BACKEND` environment variable
-    /// (`"interpreter"` or `"vectorized"`), if set and well-formed.
-    pub fn from_env() -> Option<ExecBackend> {
-        std::env::var("MCFUSER_EXEC_BACKEND").ok()?.parse().ok()
+    /// The backend the `MCFUSER_EXEC_BACKEND` environment variable names:
+    /// the default when it is unset, an error naming the two accepted
+    /// values when it is set to anything else.
+    pub fn from_env() -> Result<ExecBackend, String> {
+        match std::env::var("MCFUSER_EXEC_BACKEND") {
+            Err(std::env::VarError::NotPresent) => Ok(ExecBackend::default()),
+            Err(e) => Err(format!("MCFUSER_EXEC_BACKEND: {e}")),
+            Ok(v) => v.parse().map_err(|e| format!("MCFUSER_EXEC_BACKEND: {e}")),
+        }
     }
 }
 
@@ -90,9 +95,9 @@ impl std::str::FromStr for ExecBackend {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interpreter" | "oracle" | "interp" => Ok(ExecBackend::Interpreter),
-            "vectorized" | "vector" | "vec" => Ok(ExecBackend::Vectorized),
+        match s {
+            "interpreter" => Ok(ExecBackend::Interpreter),
+            "vectorized" => Ok(ExecBackend::Vectorized),
             other => Err(format!(
                 "unknown exec backend {other:?} (expected \"interpreter\" or \"vectorized\")"
             )),
@@ -168,58 +173,22 @@ impl KernelExecutor for VectorizedExec {
         storage: &mut TensorStorage,
         arena: &mut BufferArena,
     ) -> Result<(), ExecError> {
-        p.validate()?;
-        if storage.tensors.len() != p.buffers.len() {
-            return Err(ExecError::StorageMismatch(format!(
-                "{} tensors for {} buffers",
-                storage.tensors.len(),
-                p.buffers.len()
-            )));
-        }
-        for (t, d) in storage.tensors.iter().zip(&p.buffers) {
-            if t.shape != d.shape {
-                return Err(ExecError::StorageMismatch(format!(
-                    "buffer {} declared {:?} but storage has {:?}",
-                    d.name, d.shape, t.shape
-                )));
-            }
-        }
-
         // Per-buffer strides resolved once per launch (the interpreter
-        // re-derives them per Load/Store/RawView).
+        // re-derives them per access).
         let strides: Vec<Vec<u64>> = storage.tensors.iter().map(|t| t.strides()).collect();
-        let mut scratch = Scratch::for_class(p, p.nest_class());
-
-        let mut smem = Smem::for_program_in(p, arena);
-        let grid = if p.grid.is_empty() {
-            vec![1]
-        } else {
-            p.grid.clone()
-        };
-        let nblocks: u64 = grid.iter().product();
-        let mut block_idx = vec![0u64; grid.len()];
-        let max_handle = max_loop_handle(&p.body) + 1;
-        let mut env = vec![0u64; max_handle];
-
-        for flat in 0..nblocks {
-            let mut rem = flat;
-            for i in (0..grid.len()).rev() {
-                block_idx[i] = rem % grid[i];
-                rem /= grid[i];
-            }
+        let mut scratch = Scratch::default();
+        exec::launch(p, storage, arena, |block_idx, env, smem, storage| {
             run_stmts_vec(
                 p,
                 &p.body,
-                &block_idx,
-                &mut env,
-                &mut smem,
+                block_idx,
+                env,
+                smem,
                 storage,
                 &strides,
                 &mut scratch,
-            );
-        }
-        smem.recycle(arena);
-        Ok(())
+            )
+        })
     }
 }
 
@@ -233,26 +202,6 @@ struct Scratch {
     rstds: Vec<f32>,
     gvals: Vec<f32>,
     bvals: Vec<f32>,
-}
-
-impl Scratch {
-    /// Provision scratch according to the nest class recorded at lower
-    /// time — the O(1) dispatch the classification buys: streaming and
-    /// plain reduction nests allocate nothing here.
-    fn for_class(p: &TileProgram, class: NestClass) -> Scratch {
-        let mut s = Scratch::default();
-        if matches!(class, NestClass::FusedPipeline | NestClass::Unknown) {
-            let max_rows = p.smem.iter().map(|d| d.rows).max().unwrap_or(0) as usize;
-            let max_cols = p.smem.iter().map(|d| d.cols).max().unwrap_or(0) as usize;
-            s.alphas.reserve(max_rows);
-            s.col.reserve(max_cols.max(max_rows));
-            s.means.reserve(max_rows);
-            s.rstds.reserve(max_rows);
-            s.gvals.reserve(max_cols);
-            s.bvals.reserve(max_cols);
-        }
-        s
-    }
 }
 
 /// `dst[i] = v` through log2(len) `memmove`s instead of a per-element
@@ -278,15 +227,13 @@ fn quantize_row(dt: DType, src: &[f32], dst: &mut [f32]) {
     match dt {
         DType::F32 => dst.copy_from_slice(src),
         dt => {
-            // SAFETY: equal lengths asserted above; pointers from the
-            // slices themselves. Callers hand in row slices carved by
-            // `load_tile_vec`/`store_tile_vec` from tile geometry the
-            // static verifier proved in-bounds (clipped extents are
-            // pre-shrunk to `in_cols` before slicing).
+            let n = src.len().min(dst.len());
+            // SAFETY: the walk covers `n` elements, no more than either
+            // slice holds.
             unsafe {
                 let mut sp = src.as_ptr();
                 let mut dp = dst.as_mut_ptr();
-                for _ in 0..src.len() {
+                for _ in 0..n {
                     *dp = dt.quantize(*sp);
                     sp = sp.add(1);
                     dp = dp.add(1);
@@ -296,401 +243,420 @@ fn quantize_row(dt: DType, src: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// The statement's global window clips: the fast path did nothing and the
+/// interpreter's code must run the statement.
+struct Clipped;
+
+/// The view of `acc`'s tile in this block, if its whole `rows × cols`
+/// window is in bounds.
+fn window(
+    storage: &TensorStorage,
+    strides: &[Vec<u64>],
+    acc: &TileAccess,
+    block_idx: &[u64],
+    env: &[u64],
+    rows: u64,
+    cols: u64,
+) -> Result<TileView, Clipped> {
+    let origin = tile_origin(acc, block_idx, env);
+    let view = TileView::new(
+        &storage.tensors[acc.buf.0].shape,
+        &strides[acc.buf.0],
+        &origin,
+    );
+    if view.covers(rows, cols) {
+        Ok(view)
+    } else {
+        Err(Clipped)
+    }
+}
+
+/// Row `r` of a covered window over `data`, `cols` wide.
+fn row<'d>(data: &'d [f32], view: &TileView, r: u64, cols: usize) -> &'d [f32] {
+    let start = view.row_start(r);
+    &data[start..start + cols]
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_stmts_vec(
     p: &TileProgram,
     stmts: &[BlockStmt],
     block_idx: &[u64],
-    env: &mut Vec<u64>,
+    env: &mut [u64],
     smem: &mut Smem,
     storage: &mut TensorStorage,
     strides: &[Vec<u64>],
     scratch: &mut Scratch,
 ) {
     for s in stmts {
-        match s {
-            BlockStmt::Loop {
-                handle,
-                extent,
-                body,
-            } => {
-                for i in 0..*extent {
-                    env[handle.0] = i;
-                    run_stmts_vec(p, body, block_idx, env, smem, storage, strides, scratch);
-                }
-                env[handle.0] = 0;
+        if run_stmt_vec(p, s, block_idx, env, smem, storage, strides, scratch).is_err() {
+            exec::run_stmt(p, s, block_idx, env, smem, storage);
+        }
+    }
+}
+
+/// Run one statement on its fast path, or return [`Clipped`] having
+/// touched nothing.
+#[allow(clippy::too_many_arguments)]
+fn run_stmt_vec(
+    p: &TileProgram,
+    s: &BlockStmt,
+    block_idx: &[u64],
+    env: &mut [u64],
+    smem: &mut Smem,
+    storage: &mut TensorStorage,
+    strides: &[Vec<u64>],
+    scratch: &mut Scratch,
+) -> Result<(), Clipped> {
+    match s {
+        BlockStmt::Loop {
+            handle,
+            extent,
+            body,
+        } => {
+            for i in 0..*extent {
+                env[handle.0] = i;
+                run_stmts_vec(p, body, block_idx, env, smem, storage, strides, scratch);
             }
-            BlockStmt::Load { src, dst } => {
-                let origin = tile_origin(src, block_idx, env);
-                let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
-                let dt = p.smem[dst.0].dtype;
-                load_tile_vec(
-                    &storage.tensors[src.buf.0],
-                    &strides[src.buf.0],
-                    &origin,
-                    rows,
-                    cols,
-                    dt,
-                    &mut smem.bufs[dst.0],
-                );
+            env[handle.0] = 0;
+        }
+        BlockStmt::Load { src, dst } => {
+            let (rows, cols) = (smem.rows[dst.0], smem.cols[dst.0]);
+            let view = window(storage, strides, src, block_idx, env, rows, cols)?;
+            let (data, dt, c) = (
+                &storage.tensors[src.buf.0].data,
+                p.smem[dst.0].dtype,
+                cols as usize,
+            );
+            let tile = &mut smem.bufs[dst.0];
+            for r in 0..rows {
+                let out = r as usize * c;
+                quantize_row(dt, row(data, &view, r, c), &mut tile[out..out + c]);
             }
-            BlockStmt::Store { dst, src } => {
-                let origin = tile_origin(dst, block_idx, env);
-                let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
-                let dt = p.buffers[dst.buf.0].dtype;
-                store_tile_vec(
-                    &smem.bufs[src.0],
-                    rows,
-                    cols,
-                    dt,
-                    &mut storage.tensors[dst.buf.0],
-                    &strides[dst.buf.0],
-                    &origin,
-                );
+        }
+        BlockStmt::Store { dst, src } => {
+            let (rows, cols) = (smem.rows[src.0], smem.cols[src.0]);
+            let view = window(storage, strides, dst, block_idx, env, rows, cols)?;
+            let (dt, c) = (p.buffers[dst.buf.0].dtype, cols as usize);
+            let (tile, data) = (&smem.bufs[src.0], &mut storage.tensors[dst.buf.0].data);
+            for r in 0..rows {
+                let (from, to) = (r as usize * c, view.row_start(r));
+                quantize_row(dt, &tile[from..from + c], &mut data[to..to + c]);
             }
-            BlockStmt::Fill { dst, value } => fill_f32(&mut smem.bufs[dst.0], *value),
-            BlockStmt::Gemm {
-                a,
-                b,
-                acc,
-                b_transposed,
-                acc_col,
-            } => gemm_tiles_vec(smem, *a, *b, *acc, *b_transposed, *acc_col as usize),
-            BlockStmt::OnlineSoftmax {
-                scores,
-                row_max,
-                row_sum,
-                rescale,
-                scale,
-            } => online_softmax_vec(smem, *scores, *row_max, *row_sum, rescale, *scale, scratch),
-            BlockStmt::RowDiv { target, denom } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                let dcols = smem.cols[denom.0] as usize;
-                scratch.col.clear();
-                scratch
-                    .col
-                    .extend((0..rows).map(|r| smem.bufs[denom.0][r * dcols]));
-                let t = &mut smem.bufs[target.0];
-                for (r, &d) in scratch.col.iter().enumerate() {
-                    if d != 0.0 {
-                        // SAFETY: row r of a rows×cols tile.
-                        unsafe {
-                            let mut tp = t.as_mut_ptr().add(r * cols);
-                            for _ in 0..cols {
-                                *tp /= d;
-                                tp = tp.add(1);
-                            }
-                        }
-                    }
-                }
-            }
-            BlockStmt::Relu { target } => {
-                let buf = &mut smem.bufs[target.0];
-                // SAFETY: in-bounds pointer walk over the whole buffer.
-                unsafe {
-                    let mut vp = buf.as_mut_ptr();
-                    for _ in 0..buf.len() {
-                        *vp = (*vp).max(0.0);
-                        vp = vp.add(1);
-                    }
-                }
-            }
-            BlockStmt::Gelu { target } => {
-                let buf = &mut smem.bufs[target.0];
-                // SAFETY: in-bounds pointer walk over the whole buffer.
-                unsafe {
-                    let mut vp = buf.as_mut_ptr();
-                    for _ in 0..buf.len() {
-                        *vp = exec::gelu(*vp);
-                        vp = vp.add(1);
-                    }
-                }
-            }
-            BlockStmt::AddTile { target, other } => {
-                let (t, o) = (target.0, other.0);
-                if t == o {
-                    let buf = &mut smem.bufs[t];
-                    // SAFETY: in-bounds pointer walk over the whole buffer.
+        }
+        BlockStmt::Fill { dst, value } => fill_f32(&mut smem.bufs[dst.0], *value),
+        BlockStmt::Gemm {
+            a,
+            b,
+            acc,
+            b_transposed,
+            acc_col,
+        } => exec::gemm_tiles(
+            smem,
+            (*a, *b, *acc),
+            *b_transposed,
+            *acc_col as usize,
+            gemm_inner_vec,
+        ),
+        BlockStmt::OnlineSoftmax {
+            scores,
+            row_max,
+            row_sum,
+            rescale,
+            scale,
+        } => online_softmax_vec(smem, *scores, *row_max, *row_sum, rescale, *scale, scratch),
+        BlockStmt::RowDiv { target, denom } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            let dcols = smem.cols[denom.0] as usize;
+            scratch.col.clear();
+            scratch
+                .col
+                .extend((0..rows).map(|r| smem.bufs[denom.0][r * dcols]));
+            let t = &mut smem.bufs[target.0];
+            for (r, &d) in scratch.col.iter().enumerate() {
+                if d != 0.0 {
+                    // SAFETY: row r of a rows×cols tile.
                     unsafe {
-                        let mut vp = buf.as_mut_ptr();
-                        for _ in 0..buf.len() {
-                            *vp += *vp;
-                            vp = vp.add(1);
-                        }
-                    }
-                } else {
-                    let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
-                    let (dst, src) = if t < o {
-                        (&mut lo[t], &hi[0])
-                    } else {
-                        (&mut hi[0], &lo[o])
-                    };
-                    lanes::add_assign(dst, src);
-                }
-            }
-            BlockStmt::Scale { target, factor } => {
-                let buf = &mut smem.bufs[target.0];
-                // SAFETY: in-bounds pointer walk over the whole buffer.
-                unsafe {
-                    let mut vp = buf.as_mut_ptr();
-                    for _ in 0..buf.len() {
-                        *vp *= factor;
-                        vp = vp.add(1);
-                    }
-                }
-            }
-            BlockStmt::Exp { target } => {
-                let buf = &mut smem.bufs[target.0];
-                // SAFETY: in-bounds pointer walk over the whole buffer.
-                unsafe {
-                    let mut vp = buf.as_mut_ptr();
-                    for _ in 0..buf.len() {
-                        *vp = (*vp).exp();
-                        vp = vp.add(1);
-                    }
-                }
-            }
-            BlockStmt::AddBias { target, bias } => {
-                let cols = smem.cols[target.0] as usize;
-                let rows = smem.rows[target.0] as usize;
-                scratch.col.clear();
-                scratch.col.extend_from_slice(&smem.bufs[bias.0][..cols]);
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    lanes::add_assign(&mut t[r * cols..(r + 1) * cols], &scratch.col);
-                }
-            }
-            BlockStmt::Quantize { target, dtype } => {
-                let buf = &mut smem.bufs[target.0];
-                // SAFETY: in-bounds pointer walk over the whole buffer.
-                unsafe {
-                    let mut vp = buf.as_mut_ptr();
-                    for _ in 0..buf.len() {
-                        *vp = dtype.quantize(*vp);
-                        vp = vp.add(1);
-                    }
-                }
-            }
-            BlockStmt::RowNormStats {
-                a,
-                residual,
-                rows,
-                cols,
-                mean,
-                rstd,
-                eps,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = StridedView::new(&storage.tensors[a.buf.0], &strides[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    StridedView::new(&storage.tensors[racc.buf.0], &strides[racc.buf.0], &o)
-                });
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                for r in 0..*rows {
-                    let (m_val, s_val) = if av.row_in_bounds(r) {
-                        row_norm_stats(&av, resv.as_ref(), r, *cols, *eps)
-                    } else {
-                        (0.0, 1.0)
-                    };
-                    smem.bufs[mean.0][r as usize * mcols] = m_val;
-                    smem.bufs[rstd.0][r as usize * rcols] = s_val;
-                }
-            }
-            BlockStmt::NormalizeTile {
-                target,
-                mean,
-                rstd,
-                gamma,
-                beta,
-                round,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                stage_row_stats(
-                    scratch,
-                    &smem.bufs[mean.0],
-                    mcols,
-                    &smem.bufs[rstd.0],
-                    rcols,
-                    rows,
-                );
-                stage_affine(scratch, smem, *gamma, *beta, cols);
-                let round = *round;
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let row = &mut t[r * cols..(r + 1) * cols];
-                    let (m, s) = (scratch.means[r], scratch.rstds[r]);
-                    let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
-                    let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
-                    // SAFETY: row/gv/bv all have length `cols`.
-                    unsafe {
-                        let mut vp = row.as_mut_ptr();
-                        for c in 0..cols {
-                            let mut v = (*vp - m) * s;
-                            if let Some(g) = gv {
-                                v *= *g.as_ptr().add(c);
-                            }
-                            if let Some(b) = bv {
-                                v += *b.as_ptr().add(c);
-                            }
-                            *vp = round.quantize(v);
-                            vp = vp.add(1);
-                        }
-                    }
-                }
-            }
-            BlockStmt::AddGlobal { target, src } => {
-                let origin = tile_origin(src, block_idx, env);
-                let view =
-                    StridedView::new(&storage.tensors[src.buf.0], &strides[src.buf.0], &origin);
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let trow = &mut t[r * cols..(r + 1) * cols];
-                    if let Some(srow) = view.row_slice(r as u64, cols) {
-                        lanes::add_assign(trow, srow);
-                    } else {
-                        // Clipped row: the interpreter still performs the
-                        // `+ 0.0` on every out-of-bounds element (it is
-                        // not a no-op for `-0.0`), so mirror it exactly.
-                        for (c, v) in trow.iter_mut().enumerate() {
-                            *v += view.get(r as u64, c as u64);
-                        }
-                    }
-                }
-            }
-            BlockStmt::AddRecomputedNorm {
-                target,
-                a,
-                residual,
-                mean,
-                rstd,
-                gamma,
-                beta,
-            } => {
-                let a_origin = tile_origin(a, block_idx, env);
-                let av = StridedView::new(&storage.tensors[a.buf.0], &strides[a.buf.0], &a_origin);
-                let resv = residual.as_ref().map(|racc| {
-                    let o = tile_origin(racc, block_idx, env);
-                    StridedView::new(&storage.tensors[racc.buf.0], &strides[racc.buf.0], &o)
-                });
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                let mcols = smem.cols[mean.0] as usize;
-                let rcols = smem.cols[rstd.0] as usize;
-                stage_row_stats(
-                    scratch,
-                    &smem.bufs[mean.0],
-                    mcols,
-                    &smem.bufs[rstd.0],
-                    rcols,
-                    rows,
-                );
-                stage_affine(scratch, smem, *gamma, *beta, cols);
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    if !av.row_in_bounds(r as u64) {
-                        continue;
-                    }
-                    let trow = &mut t[r * cols..(r + 1) * cols];
-                    let (m, s) = (scratch.means[r], scratch.rstds[r]);
-                    let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
-                    let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
-                    let arow = av.row_slice(r as u64, cols);
-                    let rrow = match &resv {
-                        // None here means clipped — take the slow path.
-                        Some(rv) => rv.row_slice(r as u64, cols).map(Some),
-                        None => Some(None),
-                    };
-                    match (arow, rrow) {
-                        (Some(arow), Some(rrow)) => {
-                            // SAFETY: every slice has length `cols`.
-                            unsafe {
-                                let mut vp = trow.as_mut_ptr();
-                                let mut ap = arow.as_ptr();
-                                let mut rp = rrow.map(|s| s.as_ptr());
-                                for c in 0..cols {
-                                    let mut v = *ap;
-                                    if let Some(rpv) = rp {
-                                        v += *rpv;
-                                        rp = Some(rpv.add(1));
-                                    }
-                                    let mut n = (v - m) * s;
-                                    if let Some(g) = gv {
-                                        n *= *g.as_ptr().add(c);
-                                    }
-                                    if let Some(b) = bv {
-                                        n += *b.as_ptr().add(c);
-                                    }
-                                    *vp += n;
-                                    vp = vp.add(1);
-                                    ap = ap.add(1);
-                                }
-                            }
-                        }
-                        _ => {
-                            // Column-clipped tile: per-element reads with
-                            // zero padding, identical to the interpreter.
-                            for c in 0..cols {
-                                let mut v = av.get(r as u64, c as u64);
-                                if let Some(rv) = &resv {
-                                    v += rv.get(r as u64, c as u64);
-                                }
-                                let mut n = (v - m) * s;
-                                if let Some(g) = gv {
-                                    n *= g[c];
-                                }
-                                if let Some(b) = bv {
-                                    n += b[c];
-                                }
-                                trow[c] += n;
-                            }
-                        }
-                    }
-                }
-            }
-            BlockStmt::LayerNormTile {
-                target,
-                gamma,
-                beta,
-                eps,
-            } => {
-                let rows = smem.rows[target.0] as usize;
-                let cols = smem.cols[target.0] as usize;
-                stage_affine(scratch, smem, *gamma, *beta, cols);
-                let t = &mut smem.bufs[target.0];
-                for r in 0..rows {
-                    let row = &mut t[r * cols..(r + 1) * cols];
-                    let mean = lanes::sum(row) / cols as f32;
-                    let var = lanes::centered_sq_sum(row, mean) / cols as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
-                    let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
-                    let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
-                    // SAFETY: row/gv/bv all have length `cols`.
-                    unsafe {
-                        let mut vp = row.as_mut_ptr();
-                        for c in 0..cols {
-                            let mut n = (*vp - mean) * inv;
-                            if let Some(g) = gv {
-                                n *= *g.as_ptr().add(c);
-                            }
-                            if let Some(b) = bv {
-                                n += *b.as_ptr().add(c);
-                            }
-                            *vp = n;
-                            vp = vp.add(1);
+                        let mut tp = t.as_mut_ptr().add(r * cols);
+                        for _ in 0..cols {
+                            *tp /= d;
+                            tp = tp.add(1);
                         }
                     }
                 }
             }
         }
+        BlockStmt::Relu { target } => {
+            let buf = &mut smem.bufs[target.0];
+            // SAFETY: in-bounds pointer walk over the whole buffer.
+            unsafe {
+                let mut vp = buf.as_mut_ptr();
+                for _ in 0..buf.len() {
+                    *vp = (*vp).max(0.0);
+                    vp = vp.add(1);
+                }
+            }
+        }
+        BlockStmt::Gelu { target } => {
+            let buf = &mut smem.bufs[target.0];
+            // SAFETY: in-bounds pointer walk over the whole buffer.
+            unsafe {
+                let mut vp = buf.as_mut_ptr();
+                for _ in 0..buf.len() {
+                    *vp = exec::gelu(*vp);
+                    vp = vp.add(1);
+                }
+            }
+        }
+        BlockStmt::AddTile { target, other } => {
+            let (t, o) = (target.0, other.0);
+            if t == o {
+                let buf = &mut smem.bufs[t];
+                // SAFETY: in-bounds pointer walk over the whole buffer.
+                unsafe {
+                    let mut vp = buf.as_mut_ptr();
+                    for _ in 0..buf.len() {
+                        *vp += *vp;
+                        vp = vp.add(1);
+                    }
+                }
+            } else {
+                let (lo, hi) = smem.bufs.split_at_mut(t.max(o));
+                let (dst, src) = if t < o {
+                    (&mut lo[t], &hi[0])
+                } else {
+                    (&mut hi[0], &lo[o])
+                };
+                lanes::add_assign(dst, src);
+            }
+        }
+        BlockStmt::Scale { target, factor } => {
+            let buf = &mut smem.bufs[target.0];
+            // SAFETY: in-bounds pointer walk over the whole buffer.
+            unsafe {
+                let mut vp = buf.as_mut_ptr();
+                for _ in 0..buf.len() {
+                    *vp *= factor;
+                    vp = vp.add(1);
+                }
+            }
+        }
+        BlockStmt::Exp { target } => {
+            let buf = &mut smem.bufs[target.0];
+            // SAFETY: in-bounds pointer walk over the whole buffer.
+            unsafe {
+                let mut vp = buf.as_mut_ptr();
+                for _ in 0..buf.len() {
+                    *vp = (*vp).exp();
+                    vp = vp.add(1);
+                }
+            }
+        }
+        BlockStmt::AddBias { target, bias } => {
+            let cols = smem.cols[target.0] as usize;
+            let rows = smem.rows[target.0] as usize;
+            scratch.col.clear();
+            scratch.col.extend_from_slice(&smem.bufs[bias.0][..cols]);
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                lanes::add_assign(&mut t[r * cols..(r + 1) * cols], &scratch.col);
+            }
+        }
+        BlockStmt::Quantize { target, dtype } => {
+            let buf = &mut smem.bufs[target.0];
+            // SAFETY: in-bounds pointer walk over the whole buffer.
+            unsafe {
+                let mut vp = buf.as_mut_ptr();
+                for _ in 0..buf.len() {
+                    *vp = dtype.quantize(*vp);
+                    vp = vp.add(1);
+                }
+            }
+        }
+        BlockStmt::RowNormStats {
+            a,
+            residual,
+            rows,
+            cols,
+            mean,
+            rstd,
+            eps,
+        } => {
+            let av = window(storage, strides, a, block_idx, env, *rows, *cols)?;
+            let resv = match residual {
+                Some(racc) => Some((
+                    &storage.tensors[racc.buf.0].data,
+                    window(storage, strides, racc, block_idx, env, *rows, *cols)?,
+                )),
+                None => None,
+            };
+            let (ad, c) = (&storage.tensors[a.buf.0].data, *cols as usize);
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            for r in 0..*rows {
+                let rrow = resv.as_ref().map(|(rd, rv)| row(rd, rv, r, c));
+                let (m_val, s_val) = row_norm_stats(row(ad, &av, r, c), rrow, *eps);
+                smem.bufs[mean.0][r as usize * mcols] = m_val;
+                smem.bufs[rstd.0][r as usize * rcols] = s_val;
+            }
+        }
+        BlockStmt::NormalizeTile {
+            target,
+            mean,
+            rstd,
+            gamma,
+            beta,
+            round,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            stage_row_stats(
+                scratch,
+                &smem.bufs[mean.0],
+                mcols,
+                &smem.bufs[rstd.0],
+                rcols,
+                rows,
+            );
+            stage_affine(scratch, smem, *gamma, *beta, cols);
+            let round = *round;
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let row = &mut t[r * cols..(r + 1) * cols];
+                let (m, s) = (scratch.means[r], scratch.rstds[r]);
+                let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
+                let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
+                // SAFETY: row/gv/bv all have length `cols`.
+                unsafe {
+                    let mut vp = row.as_mut_ptr();
+                    for c in 0..cols {
+                        let mut v = (*vp - m) * s;
+                        if let Some(g) = gv {
+                            v *= *g.as_ptr().add(c);
+                        }
+                        if let Some(b) = bv {
+                            v += *b.as_ptr().add(c);
+                        }
+                        *vp = round.quantize(v);
+                        vp = vp.add(1);
+                    }
+                }
+            }
+        }
+        BlockStmt::AddGlobal { target, src } => {
+            let (rows, cols) = (smem.rows[target.0], smem.cols[target.0]);
+            let view = window(storage, strides, src, block_idx, env, rows, cols)?;
+            let (data, c) = (&storage.tensors[src.buf.0].data, cols as usize);
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let out = r as usize * c;
+                lanes::add_assign(&mut t[out..out + c], row(data, &view, r, c));
+            }
+        }
+        BlockStmt::AddRecomputedNorm {
+            target,
+            a,
+            residual,
+            mean,
+            rstd,
+            gamma,
+            beta,
+        } => {
+            let (rows, cols) = (smem.rows[target.0], smem.cols[target.0]);
+            let av = window(storage, strides, a, block_idx, env, rows, cols)?;
+            let resv = match residual {
+                Some(racc) => Some((
+                    &storage.tensors[racc.buf.0].data,
+                    window(storage, strides, racc, block_idx, env, rows, cols)?,
+                )),
+                None => None,
+            };
+            let ad = &storage.tensors[a.buf.0].data;
+            let (rows, cols) = (rows as usize, cols as usize);
+            let mcols = smem.cols[mean.0] as usize;
+            let rcols = smem.cols[rstd.0] as usize;
+            stage_row_stats(
+                scratch,
+                &smem.bufs[mean.0],
+                mcols,
+                &smem.bufs[rstd.0],
+                rcols,
+                rows,
+            );
+            stage_affine(scratch, smem, *gamma, *beta, cols);
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let trow = &mut t[r * cols..(r + 1) * cols];
+                let (m, s) = (scratch.means[r], scratch.rstds[r]);
+                let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
+                let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
+                let arow = row(ad, &av, r as u64, cols);
+                let rrow = resv.as_ref().map(|(rd, rv)| row(rd, rv, r as u64, cols));
+                // SAFETY: `trow`, `arow`, `rrow` and any `gv`/`bv` are all
+                // `cols` long.
+                unsafe {
+                    let mut vp = trow.as_mut_ptr();
+                    let mut ap = arow.as_ptr();
+                    let mut rp = rrow.map(|s| s.as_ptr());
+                    for c in 0..cols {
+                        let mut v = *ap;
+                        if let Some(rpv) = rp {
+                            v += *rpv;
+                            rp = Some(rpv.add(1));
+                        }
+                        let mut n = (v - m) * s;
+                        if let Some(g) = gv {
+                            n *= *g.as_ptr().add(c);
+                        }
+                        if let Some(b) = bv {
+                            n += *b.as_ptr().add(c);
+                        }
+                        *vp += n;
+                        vp = vp.add(1);
+                        ap = ap.add(1);
+                    }
+                }
+            }
+        }
+        BlockStmt::LayerNormTile {
+            target,
+            gamma,
+            beta,
+            eps,
+        } => {
+            let rows = smem.rows[target.0] as usize;
+            let cols = smem.cols[target.0] as usize;
+            stage_affine(scratch, smem, *gamma, *beta, cols);
+            let t = &mut smem.bufs[target.0];
+            for r in 0..rows {
+                let row = &mut t[r * cols..(r + 1) * cols];
+                let mean = lanes::sum(row) / cols as f32;
+                let var = lanes::centered_sq_sum(row, mean) / cols as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                let gv = (!scratch.gvals.is_empty()).then_some(scratch.gvals.as_slice());
+                let bv = (!scratch.bvals.is_empty()).then_some(scratch.bvals.as_slice());
+                // SAFETY: row/gv/bv all have length `cols`.
+                unsafe {
+                    let mut vp = row.as_mut_ptr();
+                    for c in 0..cols {
+                        let mut n = (*vp - mean) * inv;
+                        if let Some(g) = gv {
+                            n *= *g.as_ptr().add(c);
+                        }
+                        if let Some(b) = bv {
+                            n += *b.as_ptr().add(c);
+                        }
+                        *vp = n;
+                        vp = vp.add(1);
+                    }
+                }
+            }
+        }
     }
+    Ok(())
 }
 
 /// Copy the per-row mean/rstd columns into scratch (split-borrow helper).
@@ -726,279 +692,20 @@ fn stage_affine(
     }
 }
 
-/// Sequential column-order mean/rstd of one full row — the fast path of
-/// `RowNormStats`, summation order identical to the interpreter's.
-fn row_norm_stats(
-    av: &StridedView,
-    resv: Option<&StridedView>,
-    r: u64,
-    cols: u64,
-    eps: f32,
-) -> (f32, f32) {
-    let cols_us = cols as usize;
-    let arow = av.row_slice(r, cols_us);
-    let rrow = match resv {
-        Some(rv) => rv.row_slice(r, cols_us).map(Some),
-        None => Some(None),
+/// Sequential column-order mean/rstd of one row (plus its residual row),
+/// summation order identical to the interpreter's `RowNormStats`.
+fn row_norm_stats(arow: &[f32], rrow: Option<&[f32]>, eps: f32) -> (f32, f32) {
+    let cols = arow.len() as f32;
+    let sum = match rrow {
+        Some(rrow) => lanes::paired_sum(arow, rrow),
+        None => lanes::sum(arow),
     };
-    if let (Some(arow), Some(rrow)) = (arow, rrow) {
-        let sum = match rrow {
-            Some(rrow) => lanes::paired_sum(arow, rrow),
-            None => lanes::sum(arow),
-        };
-        let mean_v = sum / cols as f32;
-        let var = match rrow {
-            Some(rrow) => lanes::paired_centered_sq_sum(arow, rrow, mean_v),
-            None => lanes::centered_sq_sum(arow, mean_v),
-        };
-        (mean_v, 1.0 / (var / cols as f32 + eps).sqrt())
-    } else {
-        // Column-clipped row: per-element with zero padding, exactly the
-        // interpreter's sequence.
-        let mut sum = 0.0f32;
-        for c in 0..cols {
-            let mut v = av.get(r, c);
-            if let Some(rv) = resv {
-                v += rv.get(r, c);
-            }
-            sum += v;
-        }
-        let mean_v = sum / cols as f32;
-        let mut var = 0.0f32;
-        for c in 0..cols {
-            let mut v = av.get(r, c);
-            if let Some(rv) = resv {
-                v += rv.get(r, c);
-            }
-            let d = v - mean_v;
-            var += d * d;
-        }
-        (mean_v, 1.0 / (var / cols as f32 + eps).sqrt())
-    }
-}
-
-/// An unquantized window into the trailing two dims of a global tensor —
-/// the vectorized analogue of the interpreter's `RawView`, built from
-/// per-launch strides (no allocation) and able to hand out whole
-/// in-bounds rows as slices.
-struct StridedView<'a> {
-    data: &'a [f32],
-    base: u64,
-    ro: u64,
-    co: u64,
-    rdim: u64,
-    cdim: u64,
-    rstride: u64,
-    in_bounds: bool,
-}
-
-impl<'a> StridedView<'a> {
-    fn new(src: &'a HostTensor, strides: &[u64], origin: &[u64]) -> Self {
-        let rank = src.shape.len();
-        debug_assert!(rank >= 2, "StridedView needs a matrix-shaped tensor");
-        let lead = rank - 2;
-        let mut base = 0u64;
-        let mut in_bounds = true;
-        for d in 0..lead {
-            if origin[d] >= src.shape[d] {
-                in_bounds = false;
-            }
-            base += origin[d] * strides[d];
-        }
-        StridedView {
-            data: &src.data,
-            base,
-            ro: origin[rank - 2],
-            co: origin[rank - 1],
-            rdim: src.shape[rank - 2],
-            cdim: src.shape[rank - 1],
-            rstride: strides[rank - 2],
-            in_bounds,
-        }
-    }
-
-    fn row_in_bounds(&self, r: u64) -> bool {
-        self.in_bounds && self.ro + r < self.rdim
-    }
-
-    /// The whole `cols`-wide row as a contiguous slice, when fully in
-    /// bounds; `None` when any element would be clipped.
-    fn row_slice(&self, r: u64, cols: usize) -> Option<&'a [f32]> {
-        if !self.row_in_bounds(r) || self.co + cols as u64 > self.cdim {
-            return None;
-        }
-        let start = (self.base + (self.ro + r) * self.rstride + self.co) as usize;
-        Some(&self.data[start..start + cols])
-    }
-
-    fn get(&self, r: u64, c: u64) -> f32 {
-        let (gr, gc) = (self.ro + r, self.co + c);
-        if !self.in_bounds || gr >= self.rdim || gc >= self.cdim {
-            return 0.0;
-        }
-        self.data[(self.base + gr * self.rstride + gc) as usize]
-    }
-}
-
-/// Vectorized tile load: leading dims resolve to one base offset, each
-/// in-bounds row moves as a slice (one `memcpy` for `f32`), clipped and
-/// out-of-bounds regions zero-fill in bulk. Semantics identical to the
-/// interpreter's `load_tile`.
-fn load_tile_vec(
-    src: &HostTensor,
-    strides: &[u64],
-    origin: &[u64],
-    rows: u64,
-    cols: u64,
-    dt: DType,
-    dst: &mut [f32],
-) {
-    let rank = src.shape.len();
-    let tiled_dims = rank.min(2);
-    let lead = rank - tiled_dims;
-    let mut base = 0u64;
-    let mut in_bounds = true;
-    for d in 0..lead {
-        if origin[d] >= src.shape[d] {
-            in_bounds = false;
-        }
-        base += origin[d] * strides[d];
-    }
-    if !in_bounds {
-        fill_f32(dst, 0.0);
-        return;
-    }
-    let cols_us = cols as usize;
-    if tiled_dims == 1 {
-        // Rank-1: build row 0, then replicate it (`copy_within` row
-        // memcpys, as the interpreter does).
-        let o = origin[rank - 1];
-        let dim = src.shape[rank - 1];
-        let in_cols = dim.saturating_sub(o).min(cols) as usize;
-        let start = (base + o) as usize;
-        quantize_row(dt, &src.data[start..start + in_cols], &mut dst[..in_cols]);
-        fill_f32(&mut dst[in_cols..cols_us], 0.0);
-        for r in 1..rows {
-            let lo = (r * cols) as usize;
-            dst.copy_within(0..cols_us, lo);
-        }
-        return;
-    }
-    let (ro, co) = (origin[rank - 2], origin[rank - 1]);
-    let (rdim, cdim) = (src.shape[rank - 2], src.shape[rank - 1]);
-    let rstride = strides[rank - 2];
-    let in_cols = cdim.saturating_sub(co).min(cols) as usize;
-    for r in 0..rows {
-        let gr = ro + r;
-        let out_row = (r * cols) as usize;
-        if gr >= rdim {
-            fill_f32(&mut dst[out_row..out_row + cols_us], 0.0);
-            continue;
-        }
-        let row_base = (base + gr * rstride + co) as usize;
-        quantize_row(
-            dt,
-            &src.data[row_base..row_base + in_cols],
-            &mut dst[out_row..out_row + in_cols],
-        );
-        fill_f32(&mut dst[out_row + in_cols..out_row + cols_us], 0.0);
-    }
-}
-
-/// Vectorized tile store: clipped rows/columns resolved once, each row
-/// written as a slice. Semantics identical to the interpreter's
-/// `store_tile` (slot-strided widened stores are just a leading-dim
-/// offset folded into `base`).
-fn store_tile_vec(
-    src: &[f32],
-    rows: u64,
-    cols: u64,
-    dt: DType,
-    dst: &mut HostTensor,
-    strides: &[u64],
-    origin: &[u64],
-) {
-    let rank = dst.shape.len();
-    let tiled_dims = rank.min(2);
-    let lead = rank - tiled_dims;
-    let mut base = 0u64;
-    for d in 0..lead {
-        if origin[d] >= dst.shape[d] {
-            return;
-        }
-        base += origin[d] * strides[d];
-    }
-    if tiled_dims == 1 {
-        let o = origin[rank - 1];
-        let dim = dst.shape[rank - 1];
-        let in_cols = dim.saturating_sub(o).min(cols) as usize;
-        let start = (base + o) as usize;
-        quantize_row(dt, &src[..in_cols], &mut dst.data[start..start + in_cols]);
-        return;
-    }
-    let (ro, co) = (origin[rank - 2], origin[rank - 1]);
-    let (rdim, cdim) = (dst.shape[rank - 2], dst.shape[rank - 1]);
-    let rstride = strides[rank - 2];
-    let in_cols = cdim.saturating_sub(co).min(cols) as usize;
-    for r in 0..rows {
-        let gr = ro + r;
-        if gr >= rdim {
-            break;
-        }
-        let row_base = (base + gr * rstride + co) as usize;
-        quantize_row(
-            dt,
-            &src[(r * cols) as usize..(r * cols) as usize + in_cols],
-            &mut dst.data[row_base..row_base + in_cols],
-        );
-    }
-}
-
-/// Register-blocked tile GEMM, bit-identical to the interpreter: each
-/// `acc[i, j]` receives its additions in the same sequential `k` order,
-/// only the loop around them is blocked for locality.
-fn gemm_tiles_vec(
-    smem: &mut Smem,
-    a: SmemId,
-    b: SmemId,
-    acc: SmemId,
-    b_transposed: bool,
-    acc_col: usize,
-) {
-    let (m, k) = (smem.rows[a.0] as usize, smem.cols[a.0] as usize);
-    let n = if b_transposed {
-        smem.rows[b.0] as usize
-    } else {
-        smem.cols[b.0] as usize
+    let mean_v = sum / cols;
+    let var = match rrow {
+        Some(rrow) => lanes::paired_centered_sq_sum(arow, rrow, mean_v),
+        None => lanes::centered_sq_sum(arow, mean_v),
     };
-    let stride = smem.cols[acc.0] as usize;
-    debug_assert_eq!(smem.rows[acc.0] as usize, m);
-    debug_assert!(acc_col + n <= stride);
-    if a.0 == acc.0 || b.0 == acc.0 {
-        let av = smem.bufs[a.0].clone();
-        let bv = smem.bufs[b.0].clone();
-        let accv = &mut smem.bufs[acc.0];
-        gemm_inner_vec(&av, &bv, accv, m, n, k, b_transposed, stride, acc_col);
-        return;
-    }
-    let (av, bv, accv) = {
-        let bufs = &mut smem.bufs;
-        let a_ptr = bufs[a.0].as_ptr();
-        let b_ptr = bufs[b.0].as_ptr();
-        let a_len = bufs[a.0].len();
-        let b_len = bufs[b.0].len();
-        let acc_slice: *mut [f32] = bufs[acc.0].as_mut_slice();
-        // SAFETY: a, b, acc are distinct vector allocations (checked
-        // above), so the immutable views of `a`/`b` cannot alias `acc`.
-        unsafe {
-            (
-                std::slice::from_raw_parts(a_ptr, a_len),
-                std::slice::from_raw_parts(b_ptr, b_len),
-                &mut *acc_slice,
-            )
-        }
-    };
-    gemm_inner_vec(av, bv, accv, m, n, k, b_transposed, stride, acc_col);
+    (mean_v, 1.0 / (var / cols + eps).sqrt())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1148,10 +855,9 @@ fn online_softmax_vec(
 ///
 /// Each helper bounds its pointer walk by the *minimum* of its operand
 /// slice lengths, so the `unsafe` blocks are locally sound for any
-/// input. That the slices line up at all (row extents agree across
-/// operands) is the bounds-proved-row-slice invariant the static
-/// verifier ([`crate::verify`]) establishes per program before
-/// execution.
+/// input. The vectorized backend hands them equal-length rows: tiles of
+/// one `cols` width and global rows of windows `TileView::covers`
+/// accepted.
 pub mod lanes {
     /// `dst[i] += a * b[i]` — the GEMM axpy row update, unrolled by 4.
     pub fn axpy(dst: &mut [f32], b: &[f32], a: f32) {
@@ -1429,10 +1135,22 @@ mod tests {
             ExecBackend::Interpreter
         );
         assert_eq!(
-            "VEC".parse::<ExecBackend>().unwrap(),
+            "vectorized".parse::<ExecBackend>().unwrap(),
             ExecBackend::Vectorized
         );
-        assert!("triton".parse::<ExecBackend>().is_err());
+        // Only the two names parse: no aliases, no case folding.
+        for bad in [
+            "triton",
+            "vec",
+            "VEC",
+            "oracle",
+            "interp",
+            "Interpreter",
+            " vectorized",
+        ] {
+            let err = bad.parse::<ExecBackend>().unwrap_err();
+            assert!(err.contains("\"interpreter\" or \"vectorized\""), "{err}");
+        }
         assert_eq!(ExecBackend::Interpreter.to_string(), "interpreter");
     }
 
@@ -1539,7 +1257,6 @@ mod tests {
             },
         ];
         let p = bld.finish(body);
-        assert_eq!(p.nest_class, NestClass::Reduction);
         let mut st_i = TensorStorage::for_program(&p);
         for (bi, t) in st_i.tensors.iter_mut().enumerate().take(2) {
             for (i, v) in t.data.iter_mut().enumerate() {

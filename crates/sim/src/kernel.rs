@@ -290,57 +290,6 @@ pub enum BlockStmt {
     },
 }
 
-/// Shape taxonomy of a lowered loop nest, recorded at lower time so an
-/// execution backend can dispatch to a specialized kernel without
-/// re-walking the body (the FusionStitching streaming / reduction /
-/// fused-pipeline vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum NestClass {
-    /// Pure data movement and element-wise glue: loads, stores, fills and
-    /// element-wise tile math, but no GEMM and no cross-element reduction.
-    Streaming,
-    /// A tiled GEMM reduction (k-loop accumulating into a resident tile),
-    /// possibly with element-wise epilogues.
-    Reduction,
-    /// A fused prologue/epilogue pipeline: the nest contains streaming
-    /// normalization / softmax stages (`RowNormStats`, `NormalizeTile`,
-    /// `AddRecomputedNorm`, `LayerNormTile`, `OnlineSoftmax`, `AddGlobal`)
-    /// around its reductions.
-    FusedPipeline,
-    /// Not yet classified (programs deserialized from caches written
-    /// before the class existed). Executors re-classify on demand.
-    #[default]
-    Unknown,
-}
-
-/// Classify a statement list into its [`NestClass`].
-pub fn classify_nest(stmts: &[BlockStmt]) -> NestClass {
-    fn walk(stmts: &[BlockStmt], has_gemm: &mut bool, has_pipeline: &mut bool) {
-        for s in stmts {
-            match s {
-                BlockStmt::Loop { body, .. } => walk(body, has_gemm, has_pipeline),
-                BlockStmt::Gemm { .. } => *has_gemm = true,
-                BlockStmt::OnlineSoftmax { .. }
-                | BlockStmt::RowNormStats { .. }
-                | BlockStmt::NormalizeTile { .. }
-                | BlockStmt::AddGlobal { .. }
-                | BlockStmt::AddRecomputedNorm { .. }
-                | BlockStmt::LayerNormTile { .. } => *has_pipeline = true,
-                _ => {}
-            }
-        }
-    }
-    let (mut has_gemm, mut has_pipeline) = (false, false);
-    walk(stmts, &mut has_gemm, &mut has_pipeline);
-    if has_pipeline {
-        NestClass::FusedPipeline
-    } else if has_gemm {
-        NestClass::Reduction
-    } else {
-        NestClass::Streaming
-    }
-}
-
 /// Visit every global-buffer access of a statement list, with `true`
 /// for a store. The raw-global reads of the stitched prologue/epilogue
 /// statements are accesses too; the match is exhaustive so a new
@@ -421,10 +370,6 @@ pub struct TileProgram {
     pub body: Vec<BlockStmt>,
     /// Operand precision seen by tensor cores (input tiles).
     pub dtype: DType,
-    /// Loop-nest shape recorded at lower time ([`ProgramBuilder::finish`]);
-    /// [`NestClass::Unknown`] only for programs built by hand without the
-    /// builder ([`TileProgram::nest_class`] re-derives it on demand).
-    pub nest_class: NestClass,
     /// Buffer dimensions where partial-tile clipping is *declared*
     /// (see [`ClipMark`]). Populated by the lowering; hand-built
     /// programs default to empty, so any clipped access they contain is
@@ -448,6 +393,11 @@ pub enum ProgramError {
     GemmShapeMismatch {
         a: SmemId,
         b: SmemId,
+        acc: SmemId,
+    },
+    /// A GEMM accumulates into one of its own operand tiles (`acc` is
+    /// `a` or `b`): the product would read partial sums it is writing.
+    GemmAliasedAcc {
         acc: SmemId,
     },
     /// A loop handle is reused in overlapping scopes.
@@ -476,6 +426,9 @@ impl std::fmt::Display for ProgramError {
             ProgramError::GemmShapeMismatch { a, b, acc } => {
                 write!(f, "gemm shape mismatch a={:?} b={:?} acc={:?}", a, b, acc)
             }
+            ProgramError::GemmAliasedAcc { acc } => {
+                write!(f, "gemm accumulator {:?} is also one of its operands", acc)
+            }
             ProgramError::DuplicateLoop(l) => write!(f, "loop {:?} redefined in scope", l),
             ProgramError::UnknownGridDim(i) => write!(f, "grid dim {} out of range", i),
             ProgramError::EmptyLoop(l) => write!(f, "loop {:?} has zero extent", l),
@@ -494,16 +447,6 @@ impl TileProgram {
         self.grid.iter().product::<u64>().max(1)
     }
 
-    /// The recorded nest class, re-deriving it for programs that predate
-    /// the field (deserialized as [`NestClass::Unknown`]).
-    pub fn nest_class(&self) -> NestClass {
-        if self.nest_class == NestClass::Unknown {
-            classify_nest(&self.body)
-        } else {
-            self.nest_class
-        }
-    }
-
     /// Physical shared-memory footprint per block (padding + double
     /// buffering included) — the quantity Fig. 10 calls "measured".
     pub fn smem_bytes(&self) -> u64 {
@@ -511,7 +454,8 @@ impl TileProgram {
     }
 
     /// Structural validation: buffer/smem ids in range, access ranks match,
-    /// GEMM tile shapes compose, loop handles unique along each path.
+    /// GEMM tile shapes compose and the accumulator is neither operand,
+    /// loop handles unique along each path.
     pub fn validate(&self) -> Result<(), ProgramError> {
         let mut live_loops: Vec<LoopHandle> = Vec::new();
         self.validate_stmts(&self.body, &mut live_loops)
@@ -604,6 +548,11 @@ impl TileProgram {
                         self.smem_decl(*b)?,
                         self.smem_decl(*acc)?,
                     );
+                    // The executors move `acc` out of the tile arena for
+                    // the product, which needs it distinct from `a`/`b`.
+                    if acc == a || acc == b {
+                        return Err(ProgramError::GemmAliasedAcc { acc: *acc });
+                    }
                     let (bk, bn) = if *b_transposed {
                         (db.cols, db.rows)
                     } else {
@@ -886,10 +835,8 @@ impl ProgramBuilder {
         h
     }
 
-    /// Finish, attaching the per-block body. The nest class is computed
-    /// here — at lower time — so execution backends dispatch in O(1).
+    /// Finish, attaching the per-block body.
     pub fn finish(self, body: Vec<BlockStmt>) -> TileProgram {
-        let nest_class = classify_nest(&body);
         TileProgram {
             name: self.name,
             buffers: self.buffers,
@@ -897,7 +844,6 @@ impl ProgramBuilder {
             grid: self.grid,
             body,
             dtype: self.dtype,
-            nest_class,
             clip_ok: Vec::new(),
         }
     }

@@ -39,8 +39,8 @@
 //! ```
 
 #![warn(missing_docs)]
-// The vectorized backend's unsafe blocks lean on invariants the static
-// verifier proves; keep every one explicit and documented.
+// The vectorized backend's unsafe blocks are raw-pointer walks over
+// slices whose bounds they state; keep every one explicit and documented.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -66,9 +66,9 @@ pub use exec::{
 };
 pub use exec_vec::{ExecBackend, InterpreterExec, KernelExecutor, VectorizedExec};
 pub use kernel::{
-    ceil_div, classify_nest, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl,
-    BufferRole, ClipMark, LoopHandle, NestClass, ProgramBuilder, ProgramError, SmemDecl, SmemId,
-    TileAccess, TileIndex, TileProgram, VarRef,
+    ceil_div, visit_accesses, visit_accesses_mut, BlockStmt, BufId, BufferDecl, BufferRole,
+    ClipMark, LoopHandle, ProgramBuilder, ProgramError, SmemDecl, SmemId, TileAccess, TileIndex,
+    TileProgram, VarRef,
 };
 pub use report::explain;
 pub use stream::{sequence_time, StreamKernel};

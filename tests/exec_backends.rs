@@ -28,16 +28,19 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use mcfuser::baselines::Relay;
-use mcfuser::core::ExecBackend;
+use mcfuser::core::{ExecBackend, Step};
 use mcfuser::ir::{EpilogueStitch, PrologueSpec, ResidualSource};
 use mcfuser::prelude::*;
 use mcfuser::sim::{
-    BlockStmt, BufferArena, InterpreterExec, KernelExecutor, NestClass, TileProgram, VectorizedExec,
+    verify_program, BlockStmt, BufferArena, BufferRole, InterpreterExec, KernelExecutor,
+    ProgramBuilder, ProgramError, SmemId, TileAccess, TileIndex, TileProgram, VarRef,
+    VectorizedExec, VerifyError,
 };
-use mcfuser::tile::{lower, LoopId, LoweringOptions};
+use mcfuser::tile::{lower, LoopId, LoweredKernel, LoweringOptions};
 use mcfuser::workloads::{
-    attention_workload, bert_graph, gemm_chain_workload, masked_attention_graph,
-    masked_attention_workload, mixer_block, mlp4_chain, mlp4_graph, vit_block, BertConfig,
+    attention_workload, bert_graph, decoder_forward_graph, decoder_step_graph, gemm_chain_workload,
+    masked_attention_graph, masked_attention_workload, mixer_block, mlp4_chain, mlp4_graph,
+    vit_block, BertConfig, DecoderConfig,
 };
 
 /// Run `program` on both backends from identical input storage and
@@ -176,6 +179,36 @@ proptest! {
 // Targeted: the full statement vocabulary, asserted present.
 // ---------------------------------------------------------------------------
 
+/// Lower `chain` deep with `tiles` under the first loop permutation that
+/// lowers. The tile layout of a stitched chain is constrained (a tail
+/// LayerNorm pins `t_h = d_L`) and some permutations violate the
+/// single-accumulator rule.
+fn lower_first_perm(chain: &ChainSpec, tiles: &[u64]) -> LoweredKernel {
+    let mut perms = Vec::new();
+    for a in 0..4usize {
+        for b in 0..4 {
+            for c in 0..4 {
+                for d in 0..4 {
+                    let p = [a, b, c, d];
+                    let mut q = p;
+                    q.sort_unstable();
+                    if q == [0, 1, 2, 3] {
+                        perms.push(p);
+                    }
+                }
+            }
+        }
+    }
+    perms
+        .iter()
+        .find_map(|p| {
+            let axes: Vec<LoopId> = p.iter().map(|&a| LoopId(a)).collect();
+            let cand = Candidate::new(TilingExpr::deep(&axes), tiles.to_vec());
+            lower(chain, &cand, &LoweringOptions::default()).ok()
+        })
+        .unwrap_or_else(|| panic!("some permutation of {} lowers", chain.name))
+}
+
 /// A stitched FFN-shaped chain whose `d_L = 256 > 128` forces the
 /// chunked tail panel: the final weight streams in column slices
 /// (`SmemDecl::streamed`) and each slice fills its accumulator columns
@@ -197,38 +230,7 @@ fn stitched_pipeline_covers_the_statement_vocabulary() {
         affine: true,
         eps: 1e-5,
     });
-    // Tile layout is constrained (tail LayerNorm pins t_h = d_L) and
-    // some permutations violate the single-accumulator rule; take the
-    // first permutation that lowers.
-    let k = {
-        let mut perms = Vec::new();
-        for a in 0..4usize {
-            for b in 0..4 {
-                for c in 0..4 {
-                    for d in 0..4 {
-                        let p = [a, b, c, d];
-                        let mut q = p;
-                        q.sort_unstable();
-                        if q == [0, 1, 2, 3] {
-                            perms.push(p);
-                        }
-                    }
-                }
-            }
-        }
-        perms
-            .iter()
-            .find_map(|p| {
-                let axes: Vec<LoopId> = p.iter().map(|&a| LoopId(a)).collect();
-                let mut tiles = vec![32u64, 64, 32, 0];
-                tiles[3] = 256;
-                let cand = Candidate::new(TilingExpr::deep(&axes), tiles);
-                lower(&chain, &cand, &LoweringOptions::default()).ok()
-            })
-            .expect("some permutation of the stitched chain lowers")
-    };
-    assert_eq!(k.program.nest_class(), NestClass::FusedPipeline);
-
+    let k = lower_first_perm(&chain, &[32, 64, 32, 256]);
     let mut seen = Vec::new();
     walk_stmts(&k.program.body, &mut seen);
     assert!(
@@ -272,6 +274,70 @@ fn stitched_pipeline_covers_the_statement_vocabulary() {
     for seed in 0..3 {
         let inputs = chain.random_inputs(seed);
         assert_backends_agree(&k.program, &inputs, "xb-vocab");
+    }
+}
+
+/// A stitched pipeline whose `m = 50` is not a multiple of `t_m = 32`:
+/// the last row of blocks clips its `Load`, `Store`, `RowNormStats` and
+/// `AddRecomputedNorm` windows, which the vectorized backend hands to
+/// the interpreter's code statement by statement. Both backends must
+/// still agree bit for bit.
+#[test]
+fn clipped_stitched_pipeline_executes_identically() {
+    let mut chain = ChainSpec::gemm_chain("xb-clip", 1, 50, 64, 64, 64);
+    chain.epilogues = vec![Epilogue::Gelu, Epilogue::None];
+    chain.biases = vec![true, false];
+    chain.prologue = Some(PrologueSpec {
+        residual: true,
+        affine: true,
+        a_half: false,
+        eps: 1e-5,
+    });
+    chain.stitch_epilogue = Some(EpilogueStitch {
+        residual: ResidualSource::PrologueOut,
+        layer_norm: true,
+        affine: true,
+        eps: 1e-5,
+    });
+    let k = lower_first_perm(&chain, &[32, 32, 32, 64]);
+    // The clip is declared on the row dim of the prologue's input and of
+    // the output, so the statements that read and write them clip.
+    let rows_dim = |name: &str| {
+        let buf = k
+            .program
+            .buffers
+            .iter()
+            .position(|b| b.name == name)
+            .unwrap_or_else(|| panic!("no buffer {name}"));
+        let rank = k.program.buffers[buf].shape.len();
+        k.program
+            .clip_ok
+            .iter()
+            .any(|c| c.buf.0 == buf && c.dim == rank - 2)
+    };
+    let a_name = k.program.buffers[0].name.clone();
+    let out_name = k.program.buffers.last().unwrap().name.clone();
+    assert!(rows_dim(&a_name), "{a_name} must clip along m");
+    assert!(rows_dim(&out_name), "{out_name} must clip along m");
+    let mut seen = Vec::new();
+    walk_stmts(&k.program.body, &mut seen);
+    for (what, hit) in [
+        (
+            "RowNormStats",
+            seen.iter()
+                .any(|s| matches!(s, BlockStmt::RowNormStats { .. })),
+        ),
+        (
+            "AddRecomputedNorm",
+            seen.iter()
+                .any(|s| matches!(s, BlockStmt::AddRecomputedNorm { .. })),
+        ),
+    ] {
+        assert!(hit, "the clipped pipeline must contain {what}");
+    }
+    for seed in 0..3 {
+        let inputs = chain.random_inputs(seed);
+        assert_backends_agree(&k.program, &inputs, "xb-clip");
     }
 }
 
@@ -506,5 +572,142 @@ fn graph_workloads_execute_identically_on_both_backends() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Structural: an aliased GEMM is an error, never a panic.
+// ---------------------------------------------------------------------------
+
+/// A hand-built GEMM that accumulates into one of its own operands.
+/// Both executors take the accumulator out of the tile arena for the
+/// product, so validation must reject the alias before they run.
+fn aliased_gemm_program(acc_is_a: bool) -> TileProgram {
+    let mut b = ProgramBuilder::new("aliased", DType::F32);
+    let x = b.buffer("X", vec![8, 8], DType::F32, BufferRole::Input);
+    let y = b.buffer("Y", vec![8, 8], DType::F32, BufferRole::Output);
+    let t = b.smem("t", 8, 8, DType::F32);
+    let u = b.smem("u", 8, 8, DType::F32);
+    let at = |buf| TileAccess {
+        buf,
+        indices: vec![
+            TileIndex {
+                var: VarRef::Zero,
+                tile: 8,
+            },
+            TileIndex {
+                var: VarRef::Zero,
+                tile: 8,
+            },
+        ],
+    };
+    let (a, bb) = if acc_is_a { (t, u) } else { (u, t) };
+    b.finish(vec![
+        BlockStmt::Load { src: at(x), dst: u },
+        BlockStmt::Fill { dst: t, value: 0.0 },
+        BlockStmt::Gemm {
+            a,
+            b: bb,
+            acc: t,
+            b_transposed: false,
+            acc_col: 0,
+        },
+        BlockStmt::Store { dst: at(y), src: t },
+    ])
+}
+
+#[test]
+fn aliased_gemm_is_a_structured_error_on_both_backends() {
+    for acc_is_a in [true, false] {
+        let p = aliased_gemm_program(acc_is_a);
+        let want = ProgramError::GemmAliasedAcc { acc: SmemId(0) };
+        assert_eq!(p.validate(), Err(want.clone()));
+        assert_eq!(
+            verify_program(&p).unwrap_err(),
+            VerifyError::Structural(want.clone())
+        );
+        for exec in [
+            &InterpreterExec as &dyn KernelExecutor,
+            &VectorizedExec as &dyn KernelExecutor,
+        ] {
+            let mut st = TensorStorage::for_program(&p);
+            match exec.execute(&p, &mut st) {
+                Err(mcfuser::sim::ExecError::Invalid(e)) => assert_eq!(e, want, "{}", exec.name()),
+                other => panic!(
+                    "{}: expected an invalid-program error, got {other:?}",
+                    exec.name()
+                ),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Traffic: the kernels the benchmark serves never clip.
+// ---------------------------------------------------------------------------
+
+/// Every fused kernel of the served models declares no clipping: the
+/// `serve_mix`/`serve_smoke` models (`bert-mini`, `attn`, `mlp`) and the
+/// GPT-mini step and prefill graphs at buckets 16 and 64. A verified
+/// program with an empty `clip_ok` has no access that runs past a
+/// buffer dim, so the vectorized backend serves all of them on its
+/// row-slice fast paths and never falls back to the interpreter.
+#[test]
+fn served_kernels_declare_no_clipping() {
+    let engine = FusionEngine::builder(DeviceSpec::a100())
+        .fallback(Relay::new())
+        .build();
+    let mut graphs = vec![
+        bert_graph(
+            "bert-mini",
+            &BertConfig {
+                layers: 2,
+                hidden: 128,
+                heads: 4,
+                seq: 64,
+                intermediate: 512,
+            },
+        ),
+        {
+            let mut gb = GraphBuilder::new("attn", DType::F16);
+            let q = gb.input("q", vec![2, 64, 32]);
+            let k = gb.input("k", vec![2, 64, 32]);
+            let v = gb.input("v", vec![2, 64, 32]);
+            let s = gb.batch_matmul("qk", q, k, true);
+            let p = gb.softmax("sm", s, 1.0 / (32f32).sqrt());
+            let o = gb.batch_matmul("pv", p, v, false);
+            let ln = gb.layer_norm("ln", o);
+            gb.finish(vec![ln])
+        },
+        {
+            let mut gb = GraphBuilder::new("mlp", DType::F16);
+            let x = gb.input("x", vec![128, 64]);
+            let y = gb.linear("fc1", x, 128, false);
+            let z = gb.linear("fc2", y, 64, false);
+            gb.finish(vec![z])
+        },
+    ];
+    let gpt = DecoderConfig::gpt_mini();
+    for bucket in [16, 64] {
+        graphs.push(decoder_step_graph("gpt-mini", &gpt, bucket));
+        graphs.push(decoder_forward_graph("gpt-mini", &gpt, bucket));
+    }
+    for graph in &graphs {
+        let plan = engine
+            .compile_plan(graph)
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", graph.name));
+        let mut fused = 0;
+        for step in plan.steps() {
+            if let Step::Fused { chain, program, .. } = step {
+                fused += 1;
+                assert!(
+                    program.clip_ok.is_empty(),
+                    "{}: kernel {chain} declares clipping {:?}",
+                    graph.name,
+                    program.clip_ok
+                );
+            }
+        }
+        assert!(fused > 0, "{}: no fused kernels", graph.name);
     }
 }
